@@ -371,7 +371,9 @@ impl SgmSampler {
     }
 
     /// ISR pass over a capped subset of the probes: builds input/output
-    /// clouds, runs SPADE, and averages node scores per cluster.
+    /// clouds, runs SPADE, and averages node scores per cluster. All
+    /// zeros (loss-only scoring) when any probe input or output is
+    /// non-finite.
     fn isr_cluster_scores(
         &self,
         probe: &Probe<'_>,
@@ -392,6 +394,12 @@ impl SgmSampler {
         let sel_cluster: Vec<usize> = chosen.iter().map(|&i| probe_cluster[i]).collect();
         let inputs = probe.inputs(&sel_idx);
         let outputs = probe.outputs(&sel_idx);
+        // A non-finite probe (e.g. a diverged network) has no kNN graph;
+        // skip ISR for this refresh so the scores fall back to loss only.
+        let finite = |m: &Matrix| m.as_slice().iter().all(|v| v.is_finite());
+        if !finite(&inputs) || !finite(&outputs) {
+            return vec![0.0; self.clustering.num_clusters()];
+        }
         let in_cloud = matrix_to_cloud(&inputs);
         let out_cloud = matrix_to_cloud(&outputs);
         let result = spade_scores(&in_cloud, &out_cloud, &self.cfg.spade);
@@ -1037,6 +1045,28 @@ mod tests {
         cfg.isr_cap = 64;
         let mut s = SgmSampler::new(&data.interior, cfg);
         assert_eq!(s.name(), "sgm-s");
+        let model = PinnModel::new(&prob, &data);
+        let probe = Probe::new(&net, &model);
+        let mut rng = Rng64::new(14);
+        s.refresh(0, &probe, &mut rng);
+        assert_eq!(s.stats().refreshes, 1);
+        assert!(!s.epoch.is_empty());
+    }
+
+    #[test]
+    fn isr_refresh_survives_non_finite_outputs() {
+        // A diverged network (here one NaN weight) must not panic the
+        // ISR pass; the refresh falls back to loss-only scores.
+        let (mut net, prob, data) = setup(200, 13);
+        net.for_each_param_mut(|i, v| {
+            if i == 0 {
+                *v = f64::NAN;
+            }
+        });
+        let mut cfg = small_cfg();
+        cfg.use_isr = true;
+        cfg.isr_cap = 64;
+        let mut s = SgmSampler::new(&data.interior, cfg);
         let model = PinnModel::new(&prob, &data);
         let probe = Probe::new(&net, &model);
         let mut rng = Rng64::new(14);

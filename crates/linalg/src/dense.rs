@@ -346,7 +346,7 @@ impl Matrix {
     }
 
     /// Moore–Penrose pseudo-inverse of a symmetric PSD matrix via its full
-    /// eigendecomposition (Jacobi rotations). O(n³); test-oracle use only.
+    /// eigendecomposition ([`Matrix::sym_eig`]). O(n³); test-oracle use only.
     ///
     /// Eigenvalues below `tol * λ_max` are treated as zero.
     ///
@@ -446,63 +446,130 @@ impl Matrix {
         x
     }
 
-    /// Full symmetric eigendecomposition by cyclic Jacobi rotations.
-    /// Returns `(eigenvalues, eigenvector_columns)`. O(n³); intended for
-    /// small matrices (oracles / ISR on probe subsets).
+    /// Full symmetric eigendecomposition: Householder reduction to
+    /// tridiagonal form, then implicit-shift QL (EISPACK `tred2`/`tql2`).
+    /// Returns `(eigenvalues, eigenvector_columns)` with the eigenvalues
+    /// in ascending order (`f64::total_cmp`). O(n³); intended for small
+    /// dense matrices (oracles / ISR on capped probe subsets).
     ///
     /// # Panics
     /// Panics if the matrix is not square.
     pub fn sym_eig(&self) -> (Vec<f64>, Matrix) {
         assert_eq!(self.rows, self.cols, "sym_eig needs square");
         let n = self.rows;
-        let mut a = self.clone();
-        let mut v = Matrix::identity(n);
-        for _sweep in 0..100 {
-            let mut off = 0.0;
-            for p in 0..n {
-                for q in p + 1..n {
-                    off += a.get(p, q).abs();
+        if n == 0 {
+            return (Vec::new(), Matrix::zeros(0, 0));
+        }
+        // `z` holds Vᵀ, so every inner loop of both passes walks a
+        // contiguous row (V's columns). Symmetry makes the initial Vᵀ = A.
+        let mut z = self.data.clone();
+        let mut d = vec![0.0; n];
+        let mut e = vec![0.0; n];
+        tred2(&mut z, n, &mut d, &mut e);
+        crate::eigen::tql2(&mut z, &mut d, &mut e);
+        crate::eigen::sorted_pairs(&d, &z)
+    }
+}
+
+/// Householder reduction of a symmetric matrix to tridiagonal form
+/// (EISPACK `tred2`, after the JAMA transcription), on the transposed
+/// accumulator: `z[c·n + r]` is `V[r][c]`. On return `d` holds the
+/// diagonal, `e[i]` the off-diagonal between `i` and `i + 1` and `z` the
+/// transposed orthogonal transform — the input layout of
+/// [`crate::eigen::tql2`].
+fn tred2(z: &mut [f64], n: usize, d: &mut [f64], e: &mut [f64]) {
+    for j in 0..n {
+        d[j] = z[j * n + n - 1];
+    }
+    for i in (1..n).rev() {
+        let scale: f64 = d[..i].iter().map(|x| x.abs()).sum();
+        let mut h = 0.0;
+        if scale == 0.0 {
+            e[i] = d[i - 1];
+            for j in 0..i {
+                d[j] = z[j * n + i - 1];
+                z[j * n + i] = 0.0;
+                z[i * n + j] = 0.0;
+            }
+        } else {
+            // Householder vector.
+            for dk in &mut d[..i] {
+                *dk /= scale;
+                h += *dk * *dk;
+            }
+            let mut f = d[i - 1];
+            let mut g = h.sqrt();
+            if f > 0.0 {
+                g = -g;
+            }
+            e[i] = scale * g;
+            h -= f * g;
+            d[i - 1] = f - g;
+            e[..i].fill(0.0);
+            // Similarity transform of the remaining leading block.
+            for j in 0..i {
+                f = d[j];
+                z[i * n + j] = f;
+                let row = &z[j * n..j * n + i];
+                g = e[j] + row[j] * f;
+                for k in j + 1..i {
+                    g += row[k] * d[k];
+                    e[k] += row[k] * f;
                 }
+                e[j] = g;
             }
-            if off < 1e-12 {
-                break;
+            f = 0.0;
+            for j in 0..i {
+                e[j] /= h;
+                f += e[j] * d[j];
             }
-            for p in 0..n {
-                for q in p + 1..n {
-                    let apq = a.get(p, q);
-                    if apq.abs() < 1e-300 {
-                        continue;
-                    }
-                    let app = a.get(p, p);
-                    let aqq = a.get(q, q);
-                    let theta = 0.5 * (aqq - app) / apq;
-                    let t = theta.signum() / (theta.abs() + (theta * theta + 1.0).sqrt());
-                    let c = 1.0 / (t * t + 1.0).sqrt();
-                    let s = t * c;
-                    for k in 0..n {
-                        let akp = a.get(k, p);
-                        let akq = a.get(k, q);
-                        a.set(k, p, c * akp - s * akq);
-                        a.set(k, q, s * akp + c * akq);
-                    }
-                    for k in 0..n {
-                        let apk = a.get(p, k);
-                        let aqk = a.get(q, k);
-                        a.set(p, k, c * apk - s * aqk);
-                        a.set(q, k, s * apk + c * aqk);
-                    }
-                    for k in 0..n {
-                        let vkp = v.get(k, p);
-                        let vkq = v.get(k, q);
-                        v.set(k, p, c * vkp - s * vkq);
-                        v.set(k, q, s * vkp + c * vkq);
-                    }
+            let hh = f / (h + h);
+            for j in 0..i {
+                e[j] -= hh * d[j];
+            }
+            for j in 0..i {
+                f = d[j];
+                g = e[j];
+                let row = &mut z[j * n..j * n + i];
+                for k in j..i {
+                    row[k] -= f * e[k] + g * d[k];
+                }
+                d[j] = row[i - 1];
+                z[j * n + i] = 0.0;
+            }
+        }
+        d[i] = h;
+    }
+    // Accumulate the transformations.
+    for i in 0..n - 1 {
+        z[i * n + n - 1] = z[i * n + i];
+        z[i * n + i] = 1.0;
+        let h = d[i + 1];
+        let (lo, hi) = z.split_at_mut((i + 1) * n);
+        let zi1 = &mut hi[..=i];
+        if h != 0.0 {
+            for k in 0..=i {
+                d[k] = zi1[k] / h;
+            }
+            for j in 0..=i {
+                let zj = &mut lo[j * n..j * n + i + 1];
+                let mut g = 0.0;
+                for k in 0..=i {
+                    g += zi1[k] * zj[k];
+                }
+                for k in 0..=i {
+                    zj[k] -= g * d[k];
                 }
             }
         }
-        let vals = (0..n).map(|i| a.get(i, i)).collect();
-        (vals, v)
+        zi1.fill(0.0);
     }
+    for j in 0..n {
+        d[j] = z[j * n + n - 1];
+        z[j * n + n - 1] = 0.0;
+    }
+    z[n * n - 1] = 1.0;
+    e.copy_within(1.., 0);
 }
 
 /// `c = alpha * a * b + beta * c`.
@@ -756,6 +823,71 @@ mod tests {
                 assert!((avi - lk * vki).abs() < 1e-7, "eigpair {k}");
             }
         }
+    }
+
+    /// Checks `A v = λ v` to `1e-10 · ‖A‖_F`, `VᵀV = I` to `1e-10` and
+    /// ascending eigenvalues.
+    fn assert_eig_decomposes(a: &Matrix) -> Vec<f64> {
+        let n = a.rows();
+        let (vals, vecs) = a.sym_eig();
+        assert_eq!(vals.len(), n);
+        assert!(vals.windows(2).all(|w| w[0] <= w[1]), "not ascending");
+        let tol = 1e-10 * a.fro_norm();
+        let av = a.matmul(&vecs);
+        for (k, &lk) in vals.iter().enumerate() {
+            for i in 0..n {
+                let r = av.get(i, k) - lk * vecs.get(i, k);
+                assert!(r.abs() <= tol, "n={n} pair {k} row {i}: residual {r:e}");
+            }
+        }
+        let vtv = vecs.transposed().matmul(&vecs);
+        for i in 0..n {
+            for j in 0..n {
+                let want = if i == j { 1.0 } else { 0.0 };
+                let err = (vtv.get(i, j) - want).abs();
+                assert!(err <= 1e-10, "n={n} VᵀV[{i}][{j}] off by {err:e}");
+            }
+        }
+        vals
+    }
+
+    #[test]
+    fn sym_eig_residual_and_orthonormality() {
+        let mut rng = Rng64::new(17);
+        for n in [1usize, 2, 64, 192] {
+            let g = Matrix::gaussian(n, n, &mut rng);
+            let mut a = g.clone();
+            a.axpy(1.0, &g.transposed()); // symmetric, indefinite
+            assert_eig_decomposes(&a);
+        }
+    }
+
+    #[test]
+    fn sym_eig_degenerate_spectra() {
+        for n in [1usize, 7, 64] {
+            let vals = assert_eig_decomposes(&Matrix::identity(n));
+            assert!(vals.iter().all(|&v| (v - 1.0).abs() < 1e-12));
+        }
+        // Laplacian of three components: a 30-node path, a 20-node ring
+        // and an isolated node — eigenvalue 0 with multiplicity 3.
+        let n = 51;
+        let mut l = Matrix::zeros(n, n);
+        let mut edge = |p: usize, q: usize| {
+            l.add_at(p, p, 1.0);
+            l.add_at(q, q, 1.0);
+            l.add_at(p, q, -1.0);
+            l.add_at(q, p, -1.0);
+        };
+        for i in 0..29 {
+            edge(i, i + 1);
+        }
+        for i in 0..20 {
+            edge(30 + i, 30 + (i + 1) % 20);
+        }
+        let vals = assert_eig_decomposes(&l);
+        let zeros = vals.iter().filter(|v| v.abs() < 1e-10).count();
+        assert_eq!(zeros, 3, "null space of a 3-component Laplacian");
+        assert!(vals[3] > 1e-3);
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //! implicit QL algorithm for the resulting tridiagonal matrices, and power
 //! iteration.
 //!
-//! The stability crate uses [`lanczos`] on the pencil operator `L_Y⁺ L_X`
-//! (symmetrised) to obtain the top-`r` eigenpairs that define the ISR edge
-//! scores (paper Eq. 9–11).
+//! The QL core (`tql2`) is shared with the dense symmetric solver
+//! [`Matrix::sym_eig`], which the stability crate runs on its
+//! Cholesky-reduced ISR pencil (paper Eq. 9–11).
 
 use crate::dense::{axpy, dot, norm2, scale, Matrix};
 use crate::rng::Rng64;
@@ -29,8 +29,8 @@ pub struct EigenPair {
 }
 
 /// Eigenvalues and eigenvectors of a symmetric tridiagonal matrix with
-/// diagonal `d` and off-diagonal `e` (`e.len() == d.len() - 1`), via the
-/// implicit QL algorithm with Wilkinson shifts.
+/// diagonal `d` and off-diagonal `e` (`e.len() == d.len() - 1`), via
+/// implicit-shift QL (EISPACK `tql2`).
 ///
 /// Returns pairs sorted ascending by eigenvalue. The eigenvector matrix has
 /// eigenvectors as columns.
@@ -45,73 +45,107 @@ pub fn tridiag_eig(d: &[f64], e: &[f64]) -> (Vec<f64>, Matrix) {
     }
     assert_eq!(e.len() + 1, n, "off-diagonal length");
     let mut dd = d.to_vec();
-    let mut ee = {
-        let mut v = e.to_vec();
-        v.push(0.0);
-        v
-    };
-    let mut z = Matrix::identity(n);
+    let mut ee = e.to_vec();
+    ee.push(0.0);
+    let mut z = Matrix::identity(n).into_vec();
+    tql2(&mut z, &mut dd, &mut ee);
+    sorted_pairs(&dd, &z)
+}
+
+/// Implicit-shift QL on a symmetric tridiagonal matrix (EISPACK `tql2`,
+/// after the JAMA transcription): diagonal `d`, off-diagonal `e[i]`
+/// between `i` and `i + 1` (`e[n-1]` is scratch). `z` is the row-major
+/// `n × n` *transposed* accumulator — identity for a bare tridiagonal
+/// matrix, the transposed Householder transform for [`Matrix::sym_eig`] —
+/// so each plane rotation updates two adjacent contiguous rows. On return
+/// `d` holds the eigenvalues (unsorted) and row `k` of `z` the
+/// eigenvector of `d[k]`.
+///
+/// # Panics
+/// Panics if an eigenvalue takes more than 30 QL sweeps (the EISPACK
+/// limit; only pathological input gets there).
+pub(crate) fn tql2(z: &mut [f64], d: &mut [f64], e: &mut [f64]) {
+    let n = d.len();
+    e[n - 1] = 0.0;
+    let mut f = 0.0;
+    let mut tst1 = 0.0f64;
+    let eps = f64::EPSILON;
     for l in 0..n {
-        let mut iter = 0;
-        loop {
-            // Find a small off-diagonal element.
-            let mut m = l;
-            while m + 1 < n {
-                let ddm = dd[m].abs() + dd[m + 1].abs();
-                if ee[m].abs() <= 1e-15 * ddm + 1e-300 {
-                    break;
-                }
-                m += 1;
-            }
-            if m == l {
-                break;
-            }
-            iter += 1;
-            assert!(iter <= 100, "tridiag QL failed to converge");
-            let mut g = (dd[l + 1] - dd[l]) / (2.0 * ee[l]);
-            let mut r = (g * g + 1.0).sqrt();
-            g = dd[m] - dd[l] + ee[l] / (g + if g >= 0.0 { r } else { -r });
-            let (mut s, mut c) = (1.0, 1.0);
-            let mut p = 0.0;
-            for i in (l..m).rev() {
-                let mut f = s * ee[i];
-                let b = c * ee[i];
-                r = (f * f + g * g).sqrt();
-                ee[i + 1] = r;
-                if r == 0.0 {
-                    dd[i + 1] -= p;
-                    ee[m] = 0.0;
-                    break;
-                }
-                s = f / r;
-                c = g / r;
-                g = dd[i + 1] - p;
-                r = (dd[i] - g) * s + 2.0 * c * b;
-                p = s * r;
-                dd[i + 1] = g + p;
-                g = c * r - b;
-                for k in 0..n {
-                    f = z.get(k, i + 1);
-                    z.set(k, i + 1, s * z.get(k, i) + c * f);
-                    z.set(k, i, c * z.get(k, i) - s * f);
-                }
-            }
-            if r == 0.0 && m > l + 1 {
-                continue;
-            }
-            dd[l] -= p;
-            ee[l] = g;
-            ee[m] = 0.0;
+        // Find a negligible off-diagonal element (e[n-1] = 0 stops it).
+        tst1 = tst1.max(d[l].abs() + e[l].abs());
+        let mut m = l;
+        while m < n - 1 && e[m].abs() > eps * tst1 {
+            m += 1;
         }
+        if m > l {
+            let mut iter = 0;
+            loop {
+                iter += 1;
+                assert!(iter <= 30, "QL failed to converge");
+                // Implicit shift.
+                let mut g = d[l];
+                let mut p = (d[l + 1] - g) / (2.0 * e[l]);
+                let mut r = p.hypot(1.0);
+                if p < 0.0 {
+                    r = -r;
+                }
+                d[l] = e[l] / (p + r);
+                d[l + 1] = e[l] * (p + r);
+                let dl1 = d[l + 1];
+                let mut h = g - d[l];
+                for di in &mut d[l + 2..] {
+                    *di -= h;
+                }
+                f += h;
+                // QL sweep from m back to l.
+                p = d[m];
+                let (mut c, mut c2, mut c3) = (1.0, 1.0, 1.0);
+                let el1 = e[l + 1];
+                let (mut s, mut s2) = (0.0, 0.0);
+                for i in (l..m).rev() {
+                    c3 = c2;
+                    c2 = c;
+                    s2 = s;
+                    g = c * e[i];
+                    h = c * p;
+                    r = p.hypot(e[i]);
+                    e[i + 1] = s * r;
+                    s = e[i] / r;
+                    c = p / r;
+                    p = c * d[i] - s * g;
+                    d[i + 1] = h + s * (c * g + s * d[i]);
+                    let (lo, hi) = z.split_at_mut((i + 1) * n);
+                    for (zi, zi1) in lo[i * n..].iter_mut().zip(&mut hi[..n]) {
+                        let t = *zi1;
+                        *zi1 = s * *zi + c * t;
+                        *zi = c * *zi - s * t;
+                    }
+                }
+                p = -s * s2 * c3 * el1 * e[l] / dl1;
+                e[l] = s * p;
+                d[l] = c * p;
+                // A NaN (non-finite input) ends the sweeps too.
+                if e[l].is_nan() || e[l].abs() <= eps * tst1 {
+                    break;
+                }
+            }
+        }
+        d[l] += f;
+        e[l] = 0.0;
     }
-    // Sort ascending.
+}
+
+/// `(eigenvalues ascending, eigenvector columns)` from unsorted
+/// eigenvalues `d` and eigenvector *rows* `z` (the output of [`tql2`]).
+pub(crate) fn sorted_pairs(d: &[f64], z: &[f64]) -> (Vec<f64>, Matrix) {
+    let n = d.len();
     let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| dd[a].partial_cmp(&dd[b]).unwrap());
-    let vals: Vec<f64> = order.iter().map(|&i| dd[i]).collect();
+    order.sort_by(|&p, &q| d[p].total_cmp(&d[q]));
+    let vals = order.iter().map(|&k| d[k]).collect();
     let mut vecs = Matrix::zeros(n, n);
-    for (new_c, &old_c) in order.iter().enumerate() {
-        for r in 0..n {
-            vecs.set(r, new_c, z.get(r, old_c));
+    for (col, &k) in order.iter().enumerate() {
+        for (row, &v) in z[k * n..(k + 1) * n].iter().enumerate() {
+            vecs.set(row, col, v);
         }
     }
     (vals, vecs)

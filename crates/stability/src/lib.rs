@@ -21,10 +21,12 @@
 //! with the *inputs* — exactly the signal plain loss-based importance
 //! sampling misses on parameterised problems (paper §2.2, §4.2).
 //!
-//! The probe sets SGM-PINN scores are small (`r%` of each cluster), so the
-//! pencil is solved densely: Cholesky-reduce `(L_X, L_Y + εI)` to a standard
-//! symmetric problem and run Jacobi eigendecomposition. This is exact and
-//! `O(n³)` in the *probe* count, not the dataset size.
+//! The probe sets SGM-PINN scores are small (`r%` of each cluster, capped at
+//! `isr_cap` by the sampler), so the pencil is solved densely:
+//! Cholesky-reduce `(L_X, L_Y + εI)` to a standard symmetric problem, then
+//! Householder tridiagonalisation + implicit-shift QL
+//! ([`Matrix::sym_eig`]). This is exact and `O(m³)` in the probe count
+//! `m`, not the dataset size.
 //!
 //! # Example
 //!
@@ -46,7 +48,7 @@ use sgm_graph::graph::Graph;
 use sgm_graph::knn::{build_knn_graph, KnnConfig, KnnStrategy};
 use sgm_graph::laplacian::regularized_laplacian;
 use sgm_graph::points::PointCloud;
-use sgm_linalg::dense::Matrix;
+use sgm_linalg::dense::{axpy, Matrix};
 
 /// Configuration for [`spade_scores`].
 #[derive(Debug, Clone, PartialEq)]
@@ -123,21 +125,13 @@ pub fn spade_scores_from_graphs(gx: &Graph, gy: &Graph, cfg: &SpadeConfig) -> Sp
     let ly = regularized_laplacian(gy, cfg.reg_eps).to_dense();
 
     // Generalized symmetric problem L_X v = λ L_Y v via Cholesky reduction:
-    // L_Y = C Cᵀ  ⇒  (C⁻¹ L_X C⁻ᵀ) u = λ u,  v = C⁻ᵀ u.
+    // L_Y = C Cᵀ  ⇒  (C⁻¹ L_X C⁻ᵀ) u = λ u,  v = C⁻ᵀ u. With L_X symmetric
+    // that is two forward solves: M = C⁻¹ L_X, then A = C⁻¹ Mᵀ.
     let c = ly
         .cholesky()
         .expect("regularised Laplacian is positive definite");
-    let mut a = Matrix::zeros(n, n);
-    for col in 0..n {
-        let mut e = vec![0.0; n];
-        e[col] = 1.0;
-        let cinv_t = c.back_substitute_t(&e);
-        let lx_c = lx.mul_vec(&cinv_t);
-        let a_col = c.forward_substitute(&lx_c);
-        for (row, &v) in a_col.iter().enumerate() {
-            a.set(row, col, v);
-        }
-    }
+    let cinv_lx = forward_solve_rows(&c, lx);
+    let mut a = forward_solve_rows(&c, cinv_lx.transposed());
     // Symmetrise against round-off.
     for i in 0..n {
         for j in i + 1..n {
@@ -146,11 +140,10 @@ pub fn spade_scores_from_graphs(gx: &Graph, gy: &Graph, cfg: &SpadeConfig) -> Sp
             a.set(j, i, m);
         }
     }
+    // `sym_eig` returns ascending eigenvalues; keep the top `r`.
     let (vals, vecs) = a.sym_eig();
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&p, &q| vals[q].partial_cmp(&vals[p]).unwrap());
     let r = cfg.num_pairs.min(n);
-    let top: Vec<usize> = order[..r].to_vec();
+    let top: Vec<usize> = (n - r..n).rev().collect();
     let eigenvalues: Vec<f64> = top.iter().map(|&i| vals[i]).collect();
     let isr_max = eigenvalues.first().copied().unwrap_or(0.0);
 
@@ -196,6 +189,27 @@ pub fn spade_scores_from_graphs(gx: &Graph, gy: &Graph, cfg: &SpadeConfig) -> Sp
         node_scores,
         eigenvalues,
     }
+}
+
+/// Solves `C X = B` for lower-triangular `C`, overwriting `B` with `X`.
+/// Row `i` of `X` is row `i` of `B` minus a combination of the rows above
+/// it, so every update is a contiguous row AXPY.
+fn forward_solve_rows(c: &Matrix, mut b: Matrix) -> Matrix {
+    let n = c.rows();
+    let cols = b.cols();
+    let data = b.as_mut_slice();
+    for i in 0..n {
+        let (done, rest) = data.split_at_mut(i * cols);
+        let row = &mut rest[..cols];
+        for (j, &cij) in c.row(i)[..i].iter().enumerate() {
+            axpy(-cij, &done[j * cols..(j + 1) * cols], row);
+        }
+        let d = c.get(i, i);
+        for x in row.iter_mut() {
+            *x /= d;
+        }
+    }
+    b
 }
 
 #[cfg(test)]
