@@ -194,9 +194,9 @@ fn bench_mlp(r: &mut Runner) {
     for &b_sz in &[128usize, 512, 2048] {
         let x = Matrix::gaussian(b_sz, 3, &mut rng);
         r.bench("mlp_fwd_bwd", &format!("fwd_derivs_bwd_{b_sz}"), || {
-            let (full, cache) = net.forward_with_derivs(&x, &[0, 1]);
+            let (full, mut cache) = net.forward_with_derivs(&x, &[0, 1]);
             let adj = BatchDerivatives::zeros_like(&full);
-            net.backward(&cache, &adj)
+            net.backward(&mut cache, &adj)
         });
         r.bench("mlp_fwd_bwd", &format!("fwd_values_only_{b_sz}"), || {
             net.forward(&x)
@@ -215,12 +215,55 @@ fn bench_mlp_threads(r: &mut Runner) {
             &format!("fwd_derivs_bwd_2048_t{t}"),
             || {
                 sgm_par::with_parallelism(p, || {
-                    let (full, cache) = net.forward_with_derivs(&x, &[0, 1]);
+                    let (full, mut cache) = net.forward_with_derivs(&x, &[0, 1]);
                     let adj = BatchDerivatives::zeros_like(&full);
-                    net.backward(&cache, &adj)
+                    net.backward(&mut cache, &adj)
                 })
             },
         );
+    }
+}
+
+/// Per-call cost of the per-sample loss probe (`Problem::sample_losses_at`)
+/// on the LDC benchmark network (2→4, 48×4 SiLU, zero-equation NS), at
+/// the row counts the end-to-end benchmark issues: 32 (τ_e cluster-probe
+/// chunks), 128 (the small-batch post-step record) and 1024 (the
+/// large-batch post-step record). Runs under the engine's default `Auto`
+/// parallelism, i.e. on the global pool (sized from `SGM_NUM_THREADS`,
+/// else the CPU count; the end-to-end benchmark pins it to 2).
+fn bench_probe(r: &mut Runner) {
+    use sgm_physics::geometry::{Cavity, FillStrategy};
+    use sgm_physics::pde::{NsConfig, Pde, ZeroEqConfig};
+    use sgm_physics::problem::Problem;
+
+    let problem = Problem::new(Pde::NavierStokes(NsConfig {
+        nu: 1.0,
+        zero_eq: Some(ZeroEqConfig {
+            karman: 0.419,
+            mixing_cap: 0.09 * 0.5,
+            wall_distance: Cavity::wall_distance,
+            sqrt_eps: 1e-8,
+        }),
+    }));
+    let mut rng = Rng64::new(21);
+    let net = Mlp::new(
+        &MlpConfig {
+            input_dim: 2,
+            output_dim: 4,
+            hidden_width: 48,
+            hidden_layers: 4,
+            activation: Activation::SiLu,
+            fourier: None,
+        },
+        &mut rng,
+    );
+    let cloud = Cavity::default().sample_interior(1024, FillStrategy::Halton, &mut rng);
+    for rows in [32usize, 128, 1024] {
+        let idx: Vec<usize> = (0..rows).collect();
+        let x = Problem::gather(&cloud, &idx);
+        r.bench("probe", &format!("sample_losses_{rows}"), || {
+            problem.sample_losses_at(&net, &x)
+        });
     }
 }
 
@@ -974,6 +1017,7 @@ fn main() {
     bench_isr(&mut r);
     bench_mlp(&mut r);
     bench_mlp_threads(&mut r);
+    bench_probe(&mut r);
     bench_knn_threads(&mut r);
     bench_refresh_overhead(&mut r);
     bench_trainer_overhead(&mut r);

@@ -135,9 +135,9 @@ impl BatchedGradients {
 }
 
 /// Per-layer buffers of one batched chunk, mirroring the solo
-/// workspace's `LayerWs` with every column dimension widened by the
-/// lane count and the value/jacobian/hessian streams stacked as
-/// vertical bands (`1 + 2·nd` bands of `chunk` rows each, in the chain
+/// workspace's `LayerWs` + `LayerGradWs` with every column dimension
+/// widened by the lane count and the value/jacobian/hessian streams
+/// stacked as vertical bands (`1 + 2·nd` bands of `chunk` rows each, in the chain
 /// order `[a, j₀, h₀, j₁, h₁, …]`).
 #[derive(Debug, Clone)]
 struct BatchedLayerWs {
@@ -413,12 +413,7 @@ impl BatchedMlp {
         let ls = self.lanes;
         let out_dim = self.cfg.output_dim;
         let bands = 1 + 2 * nd;
-        let ranges = if batch == 0 {
-            Vec::new()
-        } else {
-            batch_chunks(batch)
-        };
-        let chunks = ranges
+        let chunks = batch_chunks(batch)
             .iter()
             .map(|&(r0, r1)| {
                 let chunk = r1 - r0;

@@ -27,8 +27,10 @@
 //! workspace integration tests.
 //!
 //! Modules: [`activation`] (σ and its first three derivatives), [`mlp`]
-//! (network, forward/backward), [`optimizer`] (Adam + LR schedules),
-//! [`checkpoint`] (bit-exact JSON save/restore of trained models).
+//! (network, forward/backward through one reusable [`MlpWorkspace`]),
+//! [`batched`] (several networks in lockstep), [`optimizer`] (Adam + LR
+//! schedules), [`checkpoint`] (bit-exact JSON save/restore of trained
+//! models).
 //!
 //! # Example
 //!
@@ -48,10 +50,19 @@
 //! let mut rng = Rng64::new(1);
 //! let net = Mlp::new(&cfg, &mut rng);
 //! let x = Matrix::from_rows(&[&[0.1, 0.2], &[0.3, 0.4]]);
-//! let (out, _cache) = net.forward_with_derivs(&x, &[0, 1]);
+//! let mut ws = net.make_workspace(2, 2);
+//! net.forward_with_derivs_ws(&x, &[0, 1], &mut ws);
+//! let out = ws.derivs();
 //! assert_eq!(out.values.rows(), 2);
 //! assert_eq!(out.jac.len(), 2);   // ∂/∂x, ∂/∂y
 //! assert_eq!(out.hess.len(), 2);  // ∂²/∂x², ∂²/∂y²
+//!
+//! // Exact parameter gradients of L = Σ y (reusing the same workspace).
+//! let mut adj = sgm_nn::BatchDerivatives::zeros_like(out);
+//! adj.values.fill(1.0);
+//! let mut grads = net.zero_gradients();
+//! net.backward_ws(&mut ws, &adj, &mut grads);
+//! assert_eq!(grads.num_entries(), net.num_params());
 //! ```
 
 pub mod activation;
@@ -63,5 +74,5 @@ pub mod optimizer;
 pub use activation::Activation;
 pub use batched::{BatchedAdam, BatchedGradients, BatchedMlp, BatchedWorkspace};
 pub use checkpoint::Checkpoint;
-pub use mlp::{BatchDerivatives, ForwardCache, Gradients, Mlp, MlpConfig};
+pub use mlp::{BatchDerivatives, Gradients, Mlp, MlpConfig, MlpWorkspace};
 pub use optimizer::{Adam, AdamConfig, LrSchedule};

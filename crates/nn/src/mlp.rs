@@ -24,16 +24,6 @@ const MLP_PAR_MIN_ROWS: usize = 64;
 /// which chunking to the pool costs more than it saves.
 const MLP_PAR_WORK: usize = 1 << 16;
 
-/// Copies rows `r0..r1` of `x` into a fresh matrix.
-fn rows_band(x: &Matrix, r0: usize, r1: usize) -> Matrix {
-    debug_assert!(r0 <= r1 && r1 <= x.rows());
-    let cols = x.cols();
-    let mut out = Matrix::zeros(r1 - r0, cols);
-    out.as_mut_slice()
-        .copy_from_slice(&x.as_slice()[r0 * cols..r1 * cols]);
-    out
-}
-
 /// Writes `band` into `dst` starting at row `r0`.
 fn scatter_band(dst: &mut Matrix, r0: usize, band: &Matrix) {
     debug_assert_eq!(dst.cols(), band.cols());
@@ -41,11 +31,9 @@ fn scatter_band(dst: &mut Matrix, r0: usize, band: &Matrix) {
     dst.as_mut_slice()[r0 * cols..(r0 + band.rows()) * cols].copy_from_slice(band.as_slice());
 }
 
-/// Chunk row ranges for a batch: boundaries depend only on `batch`.
+/// Chunk row ranges for a batch: boundaries depend only on `batch` (an
+/// empty batch has no chunks).
 pub(crate) fn batch_chunks(batch: usize) -> Vec<(usize, usize)> {
-    if batch == 0 {
-        return vec![(0, 0)];
-    }
     let chunk = sgm_par::chunk_len(batch, MLP_PAR_MIN_ROWS);
     let mut out = Vec::with_capacity(batch.div_ceil(chunk));
     let mut r0 = 0;
@@ -145,46 +133,6 @@ impl BatchDerivatives {
         for m in &mut self.hess {
             m.fill(0.0);
         }
-    }
-}
-
-#[derive(Debug, Clone)]
-struct LayerCache {
-    a_in: Matrix,
-    j_in: Vec<Matrix>,
-    h_in: Vec<Matrix>,
-    z: Matrix,
-    zj: Vec<Matrix>,
-    zh: Vec<Matrix>,
-    /// σ', σ'', σ''' at `z`, kept from the forward pass so the backward
-    /// pass never re-evaluates the activation's transcendentals (empty
-    /// for the non-activated last layer).
-    s1: Vec<f64>,
-    s2: Vec<f64>,
-    s3: Vec<f64>,
-    activated: bool,
-}
-
-#[derive(Debug, Clone)]
-struct ChunkCache {
-    row0: usize,
-    layers: Vec<LayerCache>,
-}
-
-/// Opaque forward-pass state consumed by [`Mlp::backward`].
-///
-/// Internally held per batch chunk so the backward pass can fan out over
-/// the same row ranges the forward pass used.
-#[derive(Debug, Clone)]
-pub struct ForwardCache {
-    chunks: Vec<ChunkCache>,
-    batch: usize,
-}
-
-impl ForwardCache {
-    /// Batch size of the pass that produced this cache.
-    pub fn batch(&self) -> usize {
-        self.batch
     }
 }
 
@@ -458,57 +406,6 @@ impl Mlp {
         }
     }
 
-    fn encode(&self, x: &Matrix, diff_dims: &[usize]) -> (Matrix, Vec<Matrix>, Vec<Matrix>) {
-        let b = x.rows();
-        let in_dim = self.cfg.input_dim;
-        assert_eq!(x.cols(), in_dim, "input dim mismatch");
-        for &d in diff_dims {
-            assert!(d < in_dim, "diff dim {d} out of range");
-        }
-        let Some(freq) = &self.freq else {
-            // Identity encoding: J is a constant one-hot, H is zero.
-            let mut jac = Vec::with_capacity(diff_dims.len());
-            for &d in diff_dims {
-                let mut j = Matrix::zeros(b, in_dim);
-                for r in 0..b {
-                    j.set(r, d, 1.0);
-                }
-                jac.push(j);
-            }
-            let hess = vec![Matrix::zeros(b, in_dim); diff_dims.len()];
-            return (x.clone(), jac, hess);
-        };
-        let nf = freq.rows();
-        let enc_dim = in_dim + 2 * nf;
-        let mut e = Matrix::zeros(b, enc_dim);
-        let mut jac = vec![Matrix::zeros(b, enc_dim); diff_dims.len()];
-        let mut hess = vec![Matrix::zeros(b, enc_dim); diff_dims.len()];
-        for r in 0..b {
-            let xr = x.row(r);
-            for (c, &xc) in xr.iter().enumerate().take(in_dim) {
-                e.set(r, c, xc);
-            }
-            for (di, &d) in diff_dims.iter().enumerate() {
-                jac[di].set(r, d, 1.0);
-            }
-            for s in 0..nf {
-                let w = freq.row(s);
-                let phase: f64 = w.iter().zip(xr).map(|(a, b)| a * b).sum();
-                let (sn, cs) = phase.sin_cos();
-                e.set(r, in_dim + s, sn);
-                e.set(r, in_dim + nf + s, cs);
-                for (di, &d) in diff_dims.iter().enumerate() {
-                    let wd = w[d];
-                    jac[di].set(r, in_dim + s, wd * cs);
-                    jac[di].set(r, in_dim + nf + s, -wd * sn);
-                    hess[di].set(r, in_dim + s, -wd * wd * sn);
-                    hess[di].set(r, in_dim + nf + s, -wd * wd * cs);
-                }
-            }
-        }
-        (e, jac, hess)
-    }
-
     /// Rough per-call work estimate steering the Auto parallel cutoff.
     fn par_work(&self, batch: usize, nd: usize) -> usize {
         batch
@@ -517,8 +414,9 @@ impl Mlp {
     }
 
     /// Values-only forward body over one row band of the input.
-    fn forward_values_band(&self, x: &Matrix) -> Matrix {
-        let (mut a, _, _) = self.encode(x, &[]);
+    fn forward_values_band(&self, x: &Matrix, r0: usize, r1: usize) -> Matrix {
+        let mut a = Matrix::zeros(r1 - r0, self.layers[0].w.cols());
+        self.encode_chunk(x, r0, r1, &[], &mut a, &mut [], &mut []);
         let last = self.layers.len() - 1;
         for (li, layer) in self.layers.iter().enumerate() {
             let wt = layer.w.transposed();
@@ -555,7 +453,7 @@ impl Mlp {
                 let ranges = batch_chunks(batch);
                 let bands = pool.par_map_indexed(ranges.len(), 1, |ci| {
                     let (r0, r1) = ranges[ci];
-                    self.forward_values_band(&rows_band(x, r0, r1))
+                    self.forward_values_band(x, r0, r1)
                 });
                 let mut out = Matrix::zeros(batch, self.cfg.output_dim);
                 for ((r0, _), band) in ranges.iter().zip(&bands) {
@@ -563,117 +461,14 @@ impl Mlp {
                 }
                 out
             }
-            None => self.forward_values_band(x),
+            None => self.forward_values_band(x, 0, batch),
         }
-    }
-
-    /// Forward body over one row band: returns the band's derivatives and
-    /// layer caches.
-    fn forward_derivs_band(
-        &self,
-        x: &Matrix,
-        diff_dims: &[usize],
-    ) -> (BatchDerivatives, Vec<LayerCache>) {
-        let batch = x.rows();
-        let nd = diff_dims.len();
-        let (mut a, mut j, mut h) = self.encode(x, diff_dims);
-        let last = self.layers.len() - 1;
-        let mut caches = Vec::with_capacity(self.layers.len());
-        for (li, layer) in self.layers.iter().enumerate() {
-            let activated = li != last;
-            let wt = layer.w.transposed();
-            let out_w = layer.w.rows();
-            let mut z = Matrix::zeros(batch, out_w);
-            gemm(1.0, &a, &wt, 0.0, &mut z);
-            for r in 0..batch {
-                simd::add_assign(z.row_mut(r), &layer.b);
-            }
-            let mut zj = Vec::with_capacity(nd);
-            let mut zh = Vec::with_capacity(nd);
-            for d in 0..nd {
-                let mut m = Matrix::zeros(batch, out_w);
-                gemm(1.0, &j[d], &wt, 0.0, &mut m);
-                zj.push(m);
-                let mut m = Matrix::zeros(batch, out_w);
-                gemm(1.0, &h[d], &wt, 0.0, &mut m);
-                zh.push(m);
-            }
-            // Activation.
-            let (a_out, j_out, h_out, s1, s2, s3) = if activated {
-                let mut a_out = Matrix::zeros(batch, out_w);
-                let mut j_out = vec![Matrix::zeros(batch, out_w); nd];
-                let mut h_out = vec![Matrix::zeros(batch, out_w); nd];
-                let nel = batch * out_w;
-                // σ values land straight in a_out; derivative combines go
-                // through the SIMD kernels. σ'..σ''' move into the layer
-                // cache so backward reuses them instead of re-running the
-                // transcendentals.
-                let mut s1 = vec![0.0; nel];
-                let mut s2 = vec![0.0; nel];
-                let mut s3 = vec![0.0; nel];
-                eval3_batch(
-                    self.cfg.activation,
-                    z.as_slice(),
-                    a_out.as_mut_slice(),
-                    &mut s1,
-                    &mut s2,
-                    &mut s3,
-                );
-                for d in 0..nd {
-                    simd::act_fwd_jh(
-                        &s1,
-                        &s2,
-                        zj[d].as_slice(),
-                        zh[d].as_slice(),
-                        j_out[d].as_mut_slice(),
-                        h_out[d].as_mut_slice(),
-                    );
-                }
-                (a_out, j_out, h_out, s1, s2, s3)
-            } else {
-                (
-                    z.clone(),
-                    zj.clone(),
-                    zh.clone(),
-                    Vec::new(),
-                    Vec::new(),
-                    Vec::new(),
-                )
-            };
-            caches.push(LayerCache {
-                a_in: a,
-                j_in: j,
-                h_in: h,
-                z,
-                zj,
-                zh,
-                s1,
-                s2,
-                s3,
-                activated,
-            });
-            a = a_out;
-            j = j_out;
-            h = h_out;
-        }
-        (
-            BatchDerivatives {
-                values: a,
-                jac: j,
-                hess: h,
-            },
-            caches,
-        )
     }
 
     /// Forward pass propagating values, Jacobian columns and diagonal
-    /// Hessian columns for the requested input dimensions, returning the
-    /// cache needed by [`Mlp::backward`].
-    ///
-    /// The batch is always processed in chunks whose boundaries depend
-    /// only on the batch size; the [`sgm_par::Parallelism`] setting picks
-    /// who runs each chunk, so results are bit-identical for every thread
-    /// count (serial included).
+    /// Hessian columns for the requested input dimensions: a fresh
+    /// [`Mlp::make_workspace`] run through [`Mlp::forward_with_derivs_ws`].
+    /// The returned workspace holds the caches [`Mlp::backward`] consumes.
     ///
     /// # Panics
     /// Panics if `x.cols() != input_dim` or a diff dim is out of range.
@@ -681,164 +476,26 @@ impl Mlp {
         &self,
         x: &Matrix,
         diff_dims: &[usize],
-    ) -> (BatchDerivatives, ForwardCache) {
-        assert_eq!(x.cols(), self.cfg.input_dim, "input dim mismatch");
-        let batch = x.rows();
-        let nd = diff_dims.len();
-        let ranges = batch_chunks(batch);
-        let work = self.par_work(batch, nd);
-        let results: Vec<(BatchDerivatives, Vec<LayerCache>)> =
-            match sgm_par::current().pool(work, MLP_PAR_WORK) {
-                Some(pool) => pool.par_map_indexed(ranges.len(), 1, |ci| {
-                    let (r0, r1) = ranges[ci];
-                    self.forward_derivs_band(&rows_band(x, r0, r1), diff_dims)
-                }),
-                None => ranges
-                    .iter()
-                    .map(|&(r0, r1)| self.forward_derivs_band(&rows_band(x, r0, r1), diff_dims))
-                    .collect(),
-            };
-        let out_dim = self.cfg.output_dim;
-        let mut values = Matrix::zeros(batch, out_dim);
-        let mut jac = vec![Matrix::zeros(batch, out_dim); nd];
-        let mut hess = vec![Matrix::zeros(batch, out_dim); nd];
-        let mut chunks = Vec::with_capacity(ranges.len());
-        for (&(r0, _), (band, layers)) in ranges.iter().zip(results) {
-            scatter_band(&mut values, r0, &band.values);
-            for d in 0..nd {
-                scatter_band(&mut jac[d], r0, &band.jac[d]);
-                scatter_band(&mut hess[d], r0, &band.hess[d]);
-            }
-            chunks.push(ChunkCache { row0: r0, layers });
-        }
-        (
-            BatchDerivatives { values, jac, hess },
-            ForwardCache { chunks, batch },
-        )
-    }
-
-    /// Backward body for one cached chunk: adjoint row bands in, exact
-    /// per-chunk parameter gradients out.
-    fn backward_chunk(&self, chunk: &ChunkCache, adjoints: &BatchDerivatives) -> Gradients {
-        let nd = chunk.layers[0].zj.len();
-        let batch = chunk.layers[0].z.rows();
-        let r0 = chunk.row0;
-        let mut grads = self.zero_gradients();
-        let mut ga = rows_band(&adjoints.values, r0, r0 + batch);
-        let mut gj: Vec<Matrix> = (0..nd)
-            .map(|d| rows_band(&adjoints.jac[d], r0, r0 + batch))
-            .collect();
-        let mut gh: Vec<Matrix> = (0..nd)
-            .map(|d| rows_band(&adjoints.hess[d], r0, r0 + batch))
-            .collect();
-
-        for (li, layer) in self.layers.iter().enumerate().rev() {
-            let lc = &chunk.layers[li];
-            let out_w = layer.w.rows();
-            // Activation adjoints → pre-activation adjoints.
-            let (gz, gzj, gzh) = if lc.activated {
-                let mut gz = Matrix::zeros(batch, out_w);
-                let mut gzj = vec![Matrix::zeros(batch, out_w); nd];
-                let mut gzh = vec![Matrix::zeros(batch, out_w); nd];
-                // gz = ga ⊙ σ', then each derivative dimension accumulates
-                // its adjoint contribution in ascending-d order. σ'..σ'''
-                // come straight from the forward-pass cache.
-                simd::hadamard(ga.as_slice(), &lc.s1, gz.as_mut_slice());
-                for d in 0..nd {
-                    simd::act_bwd_accum(
-                        &lc.s1,
-                        &lc.s2,
-                        &lc.s3,
-                        lc.zj[d].as_slice(),
-                        lc.zh[d].as_slice(),
-                        gj[d].as_slice(),
-                        gh[d].as_slice(),
-                        gz.as_mut_slice(),
-                        gzj[d].as_mut_slice(),
-                        gzh[d].as_mut_slice(),
-                    );
-                }
-                (gz, gzj, gzh)
-            } else {
-                (ga.clone(), gj.clone(), gh.clone())
-            };
-            // Linear adjoints.
-            // gW += gzᵀ a_in + Σ_d (gzjᵀ j_in + gzhᵀ h_in)
-            let gzt = gz.transposed();
-            gemm(1.0, &gzt, &lc.a_in, 1.0, &mut grads.w[li]);
-            for d in 0..nd {
-                let t = gzj[d].transposed();
-                gemm(1.0, &t, &lc.j_in[d], 1.0, &mut grads.w[li]);
-                let t = gzh[d].transposed();
-                gemm(1.0, &t, &lc.h_in[d], 1.0, &mut grads.w[li]);
-            }
-            // gb += column sums of gz (bias enters only the value path),
-            // row-by-row in ascending order.
-            for r in 0..batch {
-                simd::add_assign(&mut grads.b[li], gz.row(r));
-            }
-            if li == 0 {
-                break; // inputs are not trainable
-            }
-            // Propagate to layer inputs: gA = gz W, etc.
-            let mut new_ga = Matrix::zeros(batch, layer.w.cols());
-            gemm(1.0, &gz, &layer.w, 0.0, &mut new_ga);
-            let mut new_gj = Vec::with_capacity(nd);
-            let mut new_gh = Vec::with_capacity(nd);
-            for d in 0..nd {
-                let mut m = Matrix::zeros(batch, layer.w.cols());
-                gemm(1.0, &gzj[d], &layer.w, 0.0, &mut m);
-                new_gj.push(m);
-                let mut m = Matrix::zeros(batch, layer.w.cols());
-                gemm(1.0, &gzh[d], &layer.w, 0.0, &mut m);
-                new_gh.push(m);
-            }
-            ga = new_ga;
-            gj = new_gj;
-            gh = new_gh;
-        }
-        grads
+    ) -> (BatchDerivatives, MlpWorkspace) {
+        let mut ws = self.make_workspace(x.rows(), diff_dims.len());
+        self.forward_with_derivs_ws(x, diff_dims, &mut ws);
+        (ws.derivs.clone(), ws)
     }
 
     /// Backward pass: given adjoints (∂L/∂values, ∂L/∂jac, ∂L/∂hess) on the
     /// outputs of a [`Mlp::forward_with_derivs`] call, returns exact
-    /// parameter gradients ∂L/∂θ.
-    ///
-    /// Per-chunk gradients are merged in chunk order, so the result is
-    /// bit-identical for every [`sgm_par::Parallelism`] setting.
+    /// parameter gradients ∂L/∂θ via [`Mlp::backward_ws`].
     ///
     /// # Panics
-    /// Panics if adjoint shapes do not match the cached forward pass.
-    pub fn backward(&self, cache: &ForwardCache, adjoints: &BatchDerivatives) -> Gradients {
-        let nd = cache.chunks[0].layers[0].zj.len();
-        assert_eq!(adjoints.jac.len(), nd, "jac adjoint count");
-        assert_eq!(adjoints.hess.len(), nd, "hess adjoint count");
-        assert_eq!(
-            adjoints.values.rows(),
-            cache.batch,
-            "adjoint batch mismatch"
-        );
-        let work = self.par_work(cache.batch, nd);
-        let per_chunk: Vec<Gradients> = match sgm_par::current().pool(work, MLP_PAR_WORK) {
-            Some(pool) => pool.par_map_indexed(cache.chunks.len(), 1, |ci| {
-                self.backward_chunk(&cache.chunks[ci], adjoints)
-            }),
-            None => cache
-                .chunks
-                .iter()
-                .map(|c| self.backward_chunk(c, adjoints))
-                .collect(),
-        };
+    /// Panics if adjoint shapes do not match the forward pass.
+    pub fn backward(&self, ws: &mut MlpWorkspace, adjoints: &BatchDerivatives) -> Gradients {
         let mut grads = self.zero_gradients();
-        for g in &per_chunk {
-            grads.add_assign(g);
-        }
+        self.backward_ws(ws, adjoints, &mut grads);
         grads
     }
 }
 
-/// Per-layer buffers of one batch chunk: the forward cache (mirroring
-/// [`LayerCache`]) plus every backward scratch matrix, all preallocated.
+/// Forward buffers of one layer in one batch chunk.
 #[derive(Debug, Clone)]
 struct LayerWs {
     /// Layer input activations, `chunk × in_w` (written by the previous
@@ -846,7 +503,8 @@ struct LayerWs {
     a_in: Matrix,
     j_in: Vec<Matrix>,
     h_in: Vec<Matrix>,
-    /// Pre-activations and their derivative carries, `chunk × out_w`.
+    /// Pre-activations and their derivative carries, `chunk × out_w`
+    /// (the last layer's are the network outputs).
     z: Matrix,
     zj: Vec<Matrix>,
     zh: Vec<Matrix>,
@@ -855,6 +513,12 @@ struct LayerWs {
     s1: Vec<f64>,
     s2: Vec<f64>,
     s3: Vec<f64>,
+    activated: bool,
+}
+
+/// Backward scratch of one layer in one batch chunk.
+#[derive(Debug, Clone)]
+struct LayerGradWs {
     /// Backward carry: gradient w.r.t. this layer's *output*.
     gout: Matrix,
     goutj: Vec<Matrix>,
@@ -865,7 +529,14 @@ struct LayerWs {
     gzh: Vec<Matrix>,
     /// Transpose scratch (`out_w × chunk`) shared by gz/gzj/gzh.
     gt: Matrix,
-    activated: bool,
+}
+
+/// Backward half of a chunk's buffers.
+#[derive(Debug, Clone)]
+struct ChunkGradWs {
+    layers: Vec<LayerGradWs>,
+    /// Per-chunk gradient accumulator, merged in chunk order.
+    grads: Gradients,
 }
 
 /// All buffers of one batch chunk. Chunks are fully independent, so the
@@ -875,22 +546,21 @@ struct ChunkWs {
     r0: usize,
     r1: usize,
     layers: Vec<LayerWs>,
-    /// Final network outputs of this chunk, `chunk × out`.
-    out_v: Matrix,
-    out_j: Vec<Matrix>,
-    out_h: Vec<Matrix>,
-    /// Per-chunk gradient accumulator, merged in chunk order.
-    grads: Gradients,
+    /// Built by the first backward pass over this chunk, so forward-only
+    /// passes (loss probes, record losses) never allocate it.
+    grad: Option<ChunkGradWs>,
 }
 
-/// Preallocated scratch for repeated derivative-carrying forward/backward
-/// passes over a fixed batch shape — the steady-state allocation-free
-/// training path.
+/// Scratch for derivative-carrying forward/backward passes over a fixed
+/// batch shape: the one execution path behind both the staged training
+/// loop and the allocating [`Mlp::forward_with_derivs`] /
+/// [`Mlp::backward`] wrappers.
 ///
-/// The chunk layout equals [`batch_chunks`]`(batch)`, i.e. exactly the
-/// layout the allocating [`Mlp::forward_with_derivs`] path uses, so the
-/// workspace path is bit-identical to it for every
-/// [`sgm_par::Parallelism`] setting. Under `Parallelism::Serial` a
+/// The batch is split by `batch_chunks(batch)`, whose boundaries
+/// depend only on the batch size, so results are bit-identical for every
+/// [`sgm_par::Parallelism`] setting. Forward buffers are allocated by
+/// [`Mlp::make_workspace`]; backward scratch on the first
+/// [`Mlp::backward_ws`]. After that, under `Parallelism::Serial` a
 /// forward + backward pair performs **zero** heap allocations; pooled
 /// execution allocates only the small per-task boxes inside `sgm-par`.
 #[derive(Debug, Clone)]
@@ -924,17 +594,13 @@ impl MlpWorkspace {
 
 impl Mlp {
     /// Builds a reusable workspace for batches of exactly `batch` rows
-    /// with `nd` derivative dimensions. All buffers the staged training
-    /// loop needs are allocated here, once per run.
+    /// with `nd` derivative dimensions, allocating every forward buffer
+    /// (the staged training loop calls this once per run).
     pub fn make_workspace(&self, batch: usize, nd: usize) -> MlpWorkspace {
-        let ranges = if batch == 0 {
-            Vec::new()
-        } else {
-            batch_chunks(batch)
-        };
-        let chunks = ranges
-            .iter()
-            .map(|&(r0, r1)| {
+        let last = self.layers.len() - 1;
+        let chunks = batch_chunks(batch)
+            .into_iter()
+            .map(|(r0, r1)| {
                 let chunk = r1 - r0;
                 let layers = self
                     .layers
@@ -943,11 +609,7 @@ impl Mlp {
                     .map(|(li, layer)| {
                         let in_w = layer.w.cols();
                         let out_w = layer.w.rows();
-                        let act_len = if li != self.layers.len() - 1 {
-                            chunk * out_w
-                        } else {
-                            0
-                        };
+                        let act_len = if li != last { chunk * out_w } else { 0 };
                         LayerWs {
                             a_in: Matrix::zeros(chunk, in_w),
                             j_in: vec![Matrix::zeros(chunk, in_w); nd],
@@ -958,14 +620,7 @@ impl Mlp {
                             s1: vec![0.0; act_len],
                             s2: vec![0.0; act_len],
                             s3: vec![0.0; act_len],
-                            gout: Matrix::zeros(chunk, out_w),
-                            goutj: vec![Matrix::zeros(chunk, out_w); nd],
-                            gouth: vec![Matrix::zeros(chunk, out_w); nd],
-                            gz: Matrix::zeros(chunk, out_w),
-                            gzj: vec![Matrix::zeros(chunk, out_w); nd],
-                            gzh: vec![Matrix::zeros(chunk, out_w); nd],
-                            gt: Matrix::zeros(out_w, chunk),
-                            activated: li != self.layers.len() - 1,
+                            activated: li != last,
                         }
                     })
                     .collect();
@@ -973,10 +628,7 @@ impl Mlp {
                     r0,
                     r1,
                     layers,
-                    out_v: Matrix::zeros(chunk, self.cfg.output_dim),
-                    out_j: vec![Matrix::zeros(chunk, self.cfg.output_dim); nd],
-                    out_h: vec![Matrix::zeros(chunk, self.cfg.output_dim); nd],
-                    grads: self.zero_gradients(),
+                    grad: None,
                 }
             })
             .collect();
@@ -993,8 +645,33 @@ impl Mlp {
         }
     }
 
-    /// Encoder writing straight into the chunk's layer-0 input buffers
-    /// (rows `r0..r1` of `x`) — the allocation-free twin of `encode`.
+    /// Backward scratch for one chunk of `chunk` rows.
+    fn make_chunk_grad_ws(&self, chunk: usize, nd: usize) -> ChunkGradWs {
+        let layers = self
+            .layers
+            .iter()
+            .map(|layer| {
+                let out_w = layer.w.rows();
+                LayerGradWs {
+                    gout: Matrix::zeros(chunk, out_w),
+                    goutj: vec![Matrix::zeros(chunk, out_w); nd],
+                    gouth: vec![Matrix::zeros(chunk, out_w); nd],
+                    gz: Matrix::zeros(chunk, out_w),
+                    gzj: vec![Matrix::zeros(chunk, out_w); nd],
+                    gzh: vec![Matrix::zeros(chunk, out_w); nd],
+                    gt: Matrix::zeros(out_w, chunk),
+                }
+            })
+            .collect();
+        ChunkGradWs {
+            layers,
+            grads: self.zero_gradients(),
+        }
+    }
+
+    /// Input encoder `φ_E` over rows `r0..r1` of `x`, writing the
+    /// encoding into `a` and its input derivatives along `diff_dims`
+    /// into `jac`/`hess` (empty for the values-only pass).
     #[allow(clippy::too_many_arguments)]
     fn encode_chunk(
         &self,
@@ -1050,22 +727,14 @@ impl Mlp {
         }
     }
 
-    /// Forward body for one preallocated chunk; mirrors
-    /// `forward_derivs_band` operation for operation so results stay
-    /// bit-identical to the allocating path.
+    /// Forward body for one chunk: encoder, then per layer one GEMM per
+    /// value/derivative stream and the SIMD activation combines, leaving
+    /// every cache [`Mlp::backward_ws`] reads in place.
     fn forward_chunk_ws(&self, cw: &mut ChunkWs, wt: &[Matrix], x: &Matrix, diff_dims: &[usize]) {
         let nd = diff_dims.len();
-        let ChunkWs {
-            r0,
-            r1,
-            layers: lws,
-            out_v,
-            out_j,
-            out_h,
-            ..
-        } = cw;
-        let (r0, r1) = (*r0, *r1);
+        let (r0, r1) = (cw.r0, cw.r1);
         let batch = r1 - r0;
+        let lws = &mut cw.layers;
         {
             let l0 = &mut lws[0];
             self.encode_chunk(
@@ -1078,7 +747,6 @@ impl Mlp {
                 &mut l0.h_in,
             );
         }
-        let last = self.layers.len() - 1;
         for (li, layer) in self.layers.iter().enumerate() {
             let (cur, rest) = lws[li..].split_first_mut().expect("layer buffers");
             gemm(1.0, &cur.a_in, &wt[li], 0.0, &mut cur.z);
@@ -1089,12 +757,10 @@ impl Mlp {
                 gemm(1.0, &cur.j_in[d], &wt[li], 0.0, &mut cur.zj[d]);
                 gemm(1.0, &cur.h_in[d], &wt[li], 0.0, &mut cur.zh[d]);
             }
-            if li != last {
-                let nxt = &mut rest[0];
+            if let Some(nxt) = rest.first_mut() {
                 // σ straight into the next layer's input; σ'..σ''' into
-                // the per-layer cache so backward reuses them. Derivative
-                // combines go through the SIMD kernels (mirrors the
-                // allocating path operation for operation).
+                // the per-layer cache so backward reuses them instead of
+                // re-running the transcendentals.
                 eval3_batch(
                     self.cfg.activation,
                     cur.z.as_slice(),
@@ -1113,23 +779,13 @@ impl Mlp {
                         nxt.h_in[d].as_mut_slice(),
                     );
                 }
-            } else {
-                out_v.copy_from(&cur.z);
-                for d in 0..nd {
-                    out_j[d].copy_from(&cur.zj[d]);
-                    out_h[d].copy_from(&cur.zh[d]);
-                }
             }
         }
     }
 
-    /// Derivative-carrying forward pass into a preallocated workspace.
-    /// Outputs land in [`MlpWorkspace::derivs`]; the per-chunk caches stay
-    /// in place for [`Mlp::backward_ws`].
-    ///
-    /// Bit-identical to [`Mlp::forward_with_derivs`] for every
-    /// [`sgm_par::Parallelism`] setting, and allocation-free in serial
-    /// mode.
+    /// Derivative-carrying forward pass into a workspace. Outputs land in
+    /// [`MlpWorkspace::derivs`]; the per-chunk caches stay in place for
+    /// [`Mlp::backward_ws`]. Allocation-free in serial mode.
     ///
     /// # Panics
     /// Panics if `x` or `diff_dims` disagree with the workspace shape.
@@ -1160,29 +816,28 @@ impl Mlp {
             }
         }
         for cw in chunks.iter() {
-            scatter_band(&mut derivs.values, cw.r0, &cw.out_v);
+            let top = cw.layers.last().expect("layer buffers");
+            scatter_band(&mut derivs.values, cw.r0, &top.z);
             for d in 0..diff_dims.len() {
-                scatter_band(&mut derivs.jac[d], cw.r0, &cw.out_j[d]);
-                scatter_band(&mut derivs.hess[d], cw.r0, &cw.out_h[d]);
+                scatter_band(&mut derivs.jac[d], cw.r0, &top.zj[d]);
+                scatter_band(&mut derivs.hess[d], cw.r0, &top.zh[d]);
             }
         }
     }
 
-    /// Backward body for one workspace chunk; mirrors `backward_chunk`.
+    /// Backward body for one chunk: adjoint row bands in, exact per-chunk
+    /// parameter gradients out (into the chunk's accumulator).
     fn backward_chunk_ws(&self, cw: &mut ChunkWs, adjoints: &BatchDerivatives) {
         let nd = cw.layers[0].zj.len();
-        let ChunkWs {
-            r0,
-            r1,
-            layers: lws,
-            grads,
-            ..
-        } = cw;
-        let (r0, r1) = (*r0, *r1);
+        let (r0, r1) = (cw.r0, cw.r1);
         let batch = r1 - r0;
+        let lws = &cw.layers;
+        let ChunkGradWs { layers: gws, grads } = cw
+            .grad
+            .get_or_insert_with(|| self.make_chunk_grad_ws(batch, nd));
         grads.zero();
         {
-            let top = lws.last_mut().expect("layer buffers");
+            let top = gws.last_mut().expect("layer buffers");
             let cols = adjoints.values.cols();
             top.gout
                 .as_mut_slice()
@@ -1197,12 +852,15 @@ impl Mlp {
             }
         }
         for (li, layer) in self.layers.iter().enumerate().rev() {
-            let (below, from_li) = lws.split_at_mut(li);
-            let l = &mut from_li[0];
-            // Activation adjoints → pre-activation adjoints. σ'..σ''' come
-            // straight from the forward-pass cache.
+            let l = &lws[li];
+            let (below, from_li) = gws.split_at_mut(li);
+            let g = &mut from_li[0];
+            // Activation adjoints → pre-activation adjoints: gz = gout ⊙ σ',
+            // then each derivative dimension accumulates its contribution
+            // in ascending-d order. σ'..σ''' come straight from the
+            // forward-pass cache.
             if l.activated {
-                simd::hadamard(l.gout.as_slice(), &l.s1, l.gz.as_mut_slice());
+                simd::hadamard(g.gout.as_slice(), &l.s1, g.gz.as_mut_slice());
                 for d in 0..nd {
                     simd::act_bwd_accum(
                         &l.s1,
@@ -1210,43 +868,43 @@ impl Mlp {
                         &l.s3,
                         l.zj[d].as_slice(),
                         l.zh[d].as_slice(),
-                        l.goutj[d].as_slice(),
-                        l.gouth[d].as_slice(),
-                        l.gz.as_mut_slice(),
-                        l.gzj[d].as_mut_slice(),
-                        l.gzh[d].as_mut_slice(),
+                        g.goutj[d].as_slice(),
+                        g.gouth[d].as_slice(),
+                        g.gz.as_mut_slice(),
+                        g.gzj[d].as_mut_slice(),
+                        g.gzh[d].as_mut_slice(),
                     );
                 }
             } else {
-                l.gz.copy_from(&l.gout);
+                g.gz.copy_from(&g.gout);
                 for d in 0..nd {
-                    l.gzj[d].copy_from(&l.goutj[d]);
-                    l.gzh[d].copy_from(&l.gouth[d]);
+                    g.gzj[d].copy_from(&g.goutj[d]);
+                    g.gzh[d].copy_from(&g.gouth[d]);
                 }
             }
             // gW += gzᵀ a_in + Σ_d (gzjᵀ j_in + gzhᵀ h_in)
-            l.gz.transpose_into(&mut l.gt);
-            gemm(1.0, &l.gt, &l.a_in, 1.0, &mut grads.w[li]);
+            g.gz.transpose_into(&mut g.gt);
+            gemm(1.0, &g.gt, &l.a_in, 1.0, &mut grads.w[li]);
             for d in 0..nd {
-                l.gzj[d].transpose_into(&mut l.gt);
-                gemm(1.0, &l.gt, &l.j_in[d], 1.0, &mut grads.w[li]);
-                l.gzh[d].transpose_into(&mut l.gt);
-                gemm(1.0, &l.gt, &l.h_in[d], 1.0, &mut grads.w[li]);
+                g.gzj[d].transpose_into(&mut g.gt);
+                gemm(1.0, &g.gt, &l.j_in[d], 1.0, &mut grads.w[li]);
+                g.gzh[d].transpose_into(&mut g.gt);
+                gemm(1.0, &g.gt, &l.h_in[d], 1.0, &mut grads.w[li]);
             }
             // gb += column sums of gz (bias enters only the value path),
             // row-by-row in ascending order.
             for r in 0..batch {
-                simd::add_assign(&mut grads.b[li], l.gz.row(r));
+                simd::add_assign(&mut grads.b[li], g.gz.row(r));
             }
             if li == 0 {
                 break; // inputs are not trainable
             }
             // Propagate to layer inputs: carry for the layer below.
             let prev = below.last_mut().expect("previous layer buffers");
-            gemm(1.0, &l.gz, &layer.w, 0.0, &mut prev.gout);
+            gemm(1.0, &g.gz, &layer.w, 0.0, &mut prev.gout);
             for d in 0..nd {
-                gemm(1.0, &l.gzj[d], &layer.w, 0.0, &mut prev.goutj[d]);
-                gemm(1.0, &l.gzh[d], &layer.w, 0.0, &mut prev.gouth[d]);
+                gemm(1.0, &g.gzj[d], &layer.w, 0.0, &mut prev.goutj[d]);
+                gemm(1.0, &g.gzh[d], &layer.w, 0.0, &mut prev.gouth[d]);
             }
         }
     }
@@ -1257,8 +915,9 @@ impl Mlp {
     /// may stack interior + boundary contributions).
     ///
     /// Per-chunk gradients merge in chunk order, so results are
-    /// bit-identical for every [`sgm_par::Parallelism`] setting;
-    /// allocation-free in serial mode.
+    /// bit-identical for every [`sgm_par::Parallelism`] setting. The
+    /// first call allocates the workspace's backward scratch; later calls
+    /// are allocation-free in serial mode.
     ///
     /// # Panics
     /// Panics if adjoint shapes do not match the workspace.
@@ -1286,7 +945,7 @@ impl Mlp {
             }
         }
         for cw in chunks.iter() {
-            out.add_assign(&cw.grads);
+            out.add_assign(&cw.grad.as_ref().expect("backward scratch").grads);
         }
     }
 }
@@ -1414,9 +1073,9 @@ mod tests {
         for fourier in [false, true] {
             let mut net = tiny_net(4, fourier);
             let x = Matrix::from_rows(&[&[0.2, -0.5], &[0.7, 0.1], &[-0.3, 0.8]]);
-            let (full, cache) = net.forward_with_derivs(&x, &[0, 1]);
+            let (full, mut cache) = net.forward_with_derivs(&x, &[0, 1]);
             let adj = composite_adjoints(&full);
-            let grads = net.backward(&cache, &adj);
+            let grads = net.backward(&mut cache, &adj);
             let flat = grads.flat();
 
             let params = net.params();
@@ -1474,9 +1133,9 @@ mod tests {
         let net = tiny_net(7, false);
         let mut g = net.zero_gradients();
         let x = Matrix::from_rows(&[&[0.1, 0.2]]);
-        let (full, cache) = net.forward_with_derivs(&x, &[0, 1]);
+        let (full, mut cache) = net.forward_with_derivs(&x, &[0, 1]);
         let adj = composite_adjoints(&full);
-        let g1 = net.backward(&cache, &adj);
+        let g1 = net.backward(&mut cache, &adj);
         g.add_assign(&g1);
         g.add_assign(&g1);
         g.scale(0.5);
@@ -1492,11 +1151,11 @@ mod tests {
     fn empty_diff_dims_supported() {
         let net = tiny_net(8, false);
         let x = Matrix::from_rows(&[&[0.3, 0.4]]);
-        let (full, cache) = net.forward_with_derivs(&x, &[]);
+        let (full, mut cache) = net.forward_with_derivs(&x, &[]);
         assert!(full.jac.is_empty());
         let mut adj = BatchDerivatives::zeros_like(&full);
         adj.values.set(0, 0, 1.0);
-        let g = net.backward(&cache, &adj);
+        let g = net.backward(&mut cache, &adj);
         assert!(g.l2_norm() > 0.0);
     }
 
@@ -1515,9 +1174,9 @@ mod tests {
                     let run = |p: Parallelism| {
                         sgm_par::with_parallelism(p, || {
                             let v = net.forward(&x);
-                            let (full, cache) = net.forward_with_derivs(&x, &[0, 1]);
+                            let (full, mut cache) = net.forward_with_derivs(&x, &[0, 1]);
                             let adj = composite_adjoints(&full);
-                            let g = net.backward(&cache, &adj).flat();
+                            let g = net.backward(&mut cache, &adj).flat();
                             (v, full, g)
                         })
                     };
@@ -1548,70 +1207,13 @@ mod tests {
         }
     }
 
-    /// The preallocated-workspace forward/backward path must be
-    /// bit-identical to the allocating path, for every parallelism
-    /// setting, with and without Fourier features, and across repeated
-    /// reuse of the same workspace.
-    #[test]
-    fn workspace_path_matches_allocating_path() {
-        for &tier in sgm_linalg::simd::available_tiers() {
-            sgm_linalg::simd::with_tier(tier, workspace_vs_allocating_body);
+    /// Adjoints of [`composite_loss`], or of `Σ y²` for values-only
+    /// passes.
+    fn adjoints_for(full: &BatchDerivatives) -> BatchDerivatives {
+        if !full.jac.is_empty() {
+            return composite_adjoints(full);
         }
-    }
-
-    fn workspace_vs_allocating_body() {
-        use sgm_par::Parallelism;
-        for fourier in [false, true] {
-            let net = tiny_net(17, fourier);
-            let mut rng = Rng64::new(99);
-            let xs: Vec<Matrix> = (0..3).map(|_| Matrix::gaussian(70, 2, &mut rng)).collect();
-            for p in [
-                Parallelism::Serial,
-                Parallelism::Threads(1),
-                Parallelism::Threads(8),
-            ] {
-                sgm_par::with_parallelism(p, || {
-                    let mut ws = net.make_workspace(70, 2);
-                    for x in &xs {
-                        let (full, cache) = net.forward_with_derivs(x, &[0, 1]);
-                        let adj = composite_adjoints(&full);
-                        let g_ref = net.backward(&cache, &adj).flat();
-
-                        net.forward_with_derivs_ws(x, &[0, 1], &mut ws);
-                        let got = ws.derivs();
-                        for (a, b) in full.values.as_slice().iter().zip(got.values.as_slice()) {
-                            assert_eq!(a.to_bits(), b.to_bits(), "{p:?} values");
-                        }
-                        for d in 0..2 {
-                            for (a, b) in full.jac[d].as_slice().iter().zip(got.jac[d].as_slice()) {
-                                assert_eq!(a.to_bits(), b.to_bits(), "{p:?} jac[{d}]");
-                            }
-                            for (a, b) in full.hess[d].as_slice().iter().zip(got.hess[d].as_slice())
-                            {
-                                assert_eq!(a.to_bits(), b.to_bits(), "{p:?} hess[{d}]");
-                            }
-                        }
-                        let mut grads = net.zero_gradients();
-                        net.backward_ws(&mut ws, &adj, &mut grads);
-                        let g = grads.flat();
-                        for (i, (a, b)) in g_ref.iter().zip(&g).enumerate() {
-                            assert_eq!(a.to_bits(), b.to_bits(), "{p:?} grad[{i}]");
-                        }
-                    }
-                });
-            }
-        }
-    }
-
-    /// Value-only workspaces (`nd == 0`, the boundary path) agree with
-    /// the allocating path too.
-    #[test]
-    fn workspace_value_only_path_matches() {
-        let net = tiny_net(23, false);
-        let mut rng = Rng64::new(7);
-        let x = Matrix::gaussian(40, 2, &mut rng);
-        let (full, cache) = net.forward_with_derivs(&x, &[]);
-        let mut adj = BatchDerivatives::zeros_like(&full);
+        let mut adj = BatchDerivatives::zeros_like(full);
         for (dst, src) in adj
             .values
             .as_mut_slice()
@@ -1620,23 +1222,85 @@ mod tests {
         {
             *dst = 2.0 * src;
         }
-        let g_ref = net.backward(&cache, &adj).flat();
+        adj
+    }
 
-        let mut ws = net.make_workspace(40, 0);
-        net.forward_with_derivs_ws(&x, &[], &mut ws);
-        for (a, b) in full
-            .values
-            .as_slice()
-            .iter()
-            .zip(ws.derivs().values.as_slice())
-        {
-            assert_eq!(a.to_bits(), b.to_bits(), "values");
+    fn assert_derivs_bits(a: &BatchDerivatives, b: &BatchDerivatives, ctx: &str) {
+        let pairs = std::iter::once((&a.values, &b.values))
+            .chain(a.jac.iter().zip(&b.jac))
+            .chain(a.hess.iter().zip(&b.hess));
+        for (ma, mb) in pairs {
+            assert_eq!(ma.as_slice().len(), mb.as_slice().len(), "{ctx} shape");
+            for (x, y) in ma.as_slice().iter().zip(mb.as_slice()) {
+                assert_eq!(x.to_bits(), y.to_bits(), "{ctx} derivs");
+            }
         }
-        let mut grads = net.zero_gradients();
-        net.backward_ws(&mut ws, &adj, &mut grads);
-        for (a, b) in g_ref.iter().zip(&grads.flat()) {
-            assert_eq!(a.to_bits(), b.to_bits(), "grads");
+    }
+
+    fn assert_grads_bits(a: &[f64], b: &[f64], ctx: &str) {
+        assert_eq!(a.len(), b.len(), "{ctx} grad count");
+        for (i, (x, y)) in a.iter().zip(b).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "{ctx} grad[{i}]");
         }
+    }
+
+    /// A workspace reused across inputs returns the same bits as a fresh
+    /// workspace per input, and a workspace that has only run forward
+    /// passes (no backward scratch yet) gives a later backward the same
+    /// gradients as a full pass — for value-only and derivative-carrying
+    /// passes, with and without Fourier features, serial and pooled.
+    #[test]
+    fn workspace_reuse_matches_fresh_passes() {
+        use sgm_par::Parallelism;
+        for &tier in sgm_linalg::simd::available_tiers() {
+            sgm_linalg::simd::with_tier(tier, || {
+                for fourier in [false, true] {
+                    for dd in [&[][..], &[0, 1]] {
+                        for p in [
+                            Parallelism::Serial,
+                            Parallelism::Threads(1),
+                            Parallelism::Threads(8),
+                        ] {
+                            let ctx = format!("{tier:?} fourier={fourier} nd={} {p:?}", dd.len());
+                            sgm_par::with_parallelism(p, || reuse_vs_fresh_body(fourier, dd, &ctx));
+                        }
+                    }
+                }
+            });
+        }
+    }
+
+    fn reuse_vs_fresh_body(fourier: bool, dd: &[usize], ctx: &str) {
+        let net = tiny_net(17, fourier);
+        let mut rng = Rng64::new(99);
+        let xs: Vec<Matrix> = (0..3).map(|_| Matrix::gaussian(70, 2, &mut rng)).collect();
+        let fresh_pass = |x: &Matrix| {
+            let (full, mut fresh) = net.forward_with_derivs(x, dd);
+            let adj = adjoints_for(&full);
+            let g = net.backward(&mut fresh, &adj).flat();
+            (full, adj, g)
+        };
+        let mut reused = net.make_workspace(70, dd.len());
+        let mut fwd_only = net.make_workspace(70, dd.len());
+        for x in &xs {
+            let (full, adj, g_ref) = fresh_pass(x);
+            net.forward_with_derivs_ws(x, dd, &mut reused);
+            assert_derivs_bits(&full, reused.derivs(), ctx);
+            let mut g = net.zero_gradients();
+            net.backward_ws(&mut reused, &adj, &mut g);
+            assert_grads_bits(&g_ref, &g.flat(), ctx);
+
+            net.forward_with_derivs_ws(x, dd, &mut fwd_only);
+            assert_derivs_bits(&full, fwd_only.derivs(), ctx);
+        }
+        assert!(
+            fwd_only.chunks.iter().all(|c| c.grad.is_none()),
+            "{ctx}: forward-only passes allocated backward scratch"
+        );
+        let (_, adj, g_ref) = fresh_pass(&xs[2]);
+        let mut g = net.zero_gradients();
+        net.backward_ws(&mut fwd_only, &adj, &mut g);
+        assert_grads_bits(&g_ref, &g.flat(), ctx);
     }
 
     #[test]

@@ -196,13 +196,13 @@ mod tests {
         };
         let initial = loss_of(&net);
         for _ in 0..400 {
-            let (full, cache) = net.forward_with_derivs(&x, &[]);
+            let (full, mut cache) = net.forward_with_derivs(&x, &[]);
             let mut adj = BatchDerivatives::zeros_like(&full);
             for (i, &t) in targets.iter().enumerate().take(n) {
                 let d = 2.0 * (full.values.get(i, 0) - t) / n as f64;
                 adj.values.set(i, 0, d);
             }
-            let g = net.backward(&cache, &adj);
+            let g = net.backward(&mut cache, &adj);
             opt.step(&mut net, &g);
         }
         let fin = loss_of(&net);

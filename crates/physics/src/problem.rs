@@ -3,13 +3,7 @@
 use crate::pde::Pde;
 use sgm_graph::points::PointCloud;
 use sgm_linalg::dense::Matrix;
-use sgm_nn::batched::BatchedMlp;
 use sgm_nn::mlp::{BatchDerivatives, Gradients, Mlp};
-
-/// Smallest probe batch that [`Problem::sample_losses_at`] routes
-/// through the lane-replicated batched fast path. Below this the
-/// pack/workspace setup outweighs the fused-kernel win.
-pub const PROBE_FUSE_MIN_ROWS: usize = 64;
 
 /// The collocation data a problem trains on.
 #[derive(Debug, Clone)]
@@ -111,7 +105,7 @@ impl Problem {
     /// samplers rank by).
     pub fn interior_loss_and_grads(&self, net: &Mlp, x: &Matrix) -> (f64, Gradients, Vec<f64>) {
         let b = x.rows();
-        let (d, cache) = net.forward_with_derivs(x, &self.pde.diff_dims());
+        let (d, mut cache) = net.forward_with_derivs(x, &self.pde.diff_dims());
         let r = self.pde.residuals(x, &d);
         let nr = self.pde.num_residuals();
         let mut per_sample = vec![0.0; b];
@@ -129,7 +123,7 @@ impl Problem {
         }
         let mut adj = BatchDerivatives::zeros_like(&d);
         self.pde.accumulate_adjoints(x, &d, &factors, &mut adj);
-        let grads = net.backward(&cache, &adj);
+        let grads = net.backward(&mut cache, &adj);
         (total, grads, per_sample)
     }
 
@@ -143,7 +137,7 @@ impl Problem {
     ) -> (f64, Gradients) {
         let x = Self::gather(&data.boundary, idx);
         let b = x.rows();
-        let (d, cache) = net.forward_with_derivs(&x, &[]);
+        let (d, mut cache) = net.forward_with_derivs(&x, &[]);
         let o = d.values.cols();
         let mut adj = BatchDerivatives::zeros_like(&d);
         let inv_b = 1.0 / b.max(1) as f64;
@@ -159,7 +153,7 @@ impl Problem {
                 adj.values.set(row, k, 2.0 * self.bc_weight * r * inv_b);
             }
         }
-        let grads = net.backward(&cache, &adj);
+        let grads = net.backward(&mut cache, &adj);
         (total, grads)
     }
 
@@ -178,75 +172,24 @@ impl Problem {
     /// point) — how point-set-adaptive samplers score proposal locations
     /// that are not in the collocation set yet.
     ///
-    /// Probe batches of [`PROBE_FUSE_MIN_ROWS`] rows or more run through
-    /// the lane-replicated [`BatchedMlp`] fast path: the network is
-    /// packed 8× and the rows split across lanes, so one register-tiled
-    /// pass evaluates 8 row blocks at once. Results are bit-identical to
-    /// the sequential path on every SIMD tier — per-row arithmetic does
-    /// not depend on how rows are grouped.
+    /// A forward-only pass through a fresh [`Mlp::make_workspace`]: no
+    /// backward scratch is allocated.
     pub fn sample_losses_at(&self, net: &Mlp, x: &Matrix) -> Vec<f64> {
         if x.rows() == 0 {
             return Vec::new();
         }
-        if x.rows() >= PROBE_FUSE_MIN_ROWS {
-            return self.sample_losses_fused(net, x);
-        }
-        let (d, _cache) = net.forward_with_derivs(x, &self.pde.diff_dims());
-        let r = self.pde.residuals(x, &d);
-        self.weighted_row_losses(&r, x.rows())
-    }
-
-    /// `Σ_k w_k r²_{ik}` per row of a residual matrix.
-    fn weighted_row_losses(&self, r: &Matrix, rows: usize) -> Vec<f64> {
+        let dd = self.pde.diff_dims();
+        let mut ws = net.make_workspace(x.rows(), dd.len());
+        net.forward_with_derivs_ws(x, &dd, &mut ws);
+        let r = self.pde.residuals(x, ws.derivs());
         let nr = self.pde.num_residuals();
-        (0..rows)
+        (0..x.rows())
             .map(|i| {
                 (0..nr)
                     .map(|k| self.residual_weights[k] * r.get(i, k).powi(2))
                     .sum()
             })
             .collect()
-    }
-
-    /// The fused probe path: lane-replicate `net` across all 8 batch
-    /// lanes, give each lane a contiguous row block (the last block
-    /// padded by repeating the final row), and evaluate residuals per
-    /// lane from the deinterleaved derivatives.
-    fn sample_losses_fused(&self, net: &Mlp, x: &Matrix) -> Vec<f64> {
-        const LANES: usize = 8;
-        let rows = x.rows();
-        let dim = x.cols();
-        let chunk = rows.div_ceil(LANES);
-        let dd = self.pde.diff_dims();
-        let mut lane_x: Vec<Matrix> = (0..LANES).map(|_| Matrix::zeros(chunk, dim)).collect();
-        for (l, lx) in lane_x.iter_mut().enumerate() {
-            for r in 0..chunk {
-                let src = (l * chunk + r).min(rows - 1);
-                lx.row_mut(r).copy_from_slice(x.row(src));
-            }
-        }
-        let packed = BatchedMlp::pack(&[net; LANES]);
-        let mut ws = packed.make_workspace(chunk, dd.len());
-        let xrefs: Vec<&Matrix> = lane_x.iter().collect();
-        packed.forward_with_derivs_batched(&xrefs, &dd, &mut ws);
-        let nr = self.pde.num_residuals();
-        let mut d = BatchDerivatives::zeros(chunk, self.pde.output_dim(), dd.len());
-        let mut resid = Matrix::zeros(chunk, nr);
-        let mut out = vec![0.0; rows];
-        for (l, lx) in lane_x.iter().enumerate() {
-            let base = l * chunk;
-            if base >= rows {
-                break;
-            }
-            ws.extract_derivs(l, &mut d);
-            self.pde.residuals_into(lx, &d, &mut resid);
-            for r in 0..chunk.min(rows - base) {
-                out[base + r] = (0..nr)
-                    .map(|k| self.residual_weights[k] * resid.get(r, k).powi(2))
-                    .sum();
-            }
-        }
-        out
     }
 
     /// Network outputs at arbitrary interior indices (what the ISR stage
@@ -415,53 +358,5 @@ mod tests {
         let out = prob.interior_outputs(&net, &data, &[0, 1, 2, 3]);
         assert_eq!(out.rows(), 4);
         assert_eq!(out.cols(), 1);
-    }
-
-    /// The fused (lane-replicated `BatchedMlp`) probe path must return
-    /// the same bits as the sequential forward on every available SIMD
-    /// tier, including batch sizes that do not divide evenly across the
-    /// 8 lanes.
-    #[test]
-    fn fused_probe_matches_sequential_bitwise() {
-        use sgm_linalg::simd;
-        let problems = [
-            (poisson_problem(), small_net(1, 11)),
-            (
-                Problem::new(Pde::NavierStokes(NsConfig {
-                    nu: 0.05,
-                    zero_eq: None,
-                })),
-                small_net(3, 12),
-            ),
-        ];
-        for (prob, net) in &problems {
-            for rows in [PROBE_FUSE_MIN_ROWS, 100, 129] {
-                let mut rng = Rng64::new(rows as u64);
-                let mut x = Matrix::zeros(rows, 2);
-                for i in 0..rows {
-                    x.set(i, 0, rng.uniform());
-                    x.set(i, 1, rng.uniform());
-                }
-                for &t in simd::available_tiers() {
-                    let fused = simd::with_tier(t, || prob.sample_losses_fused(net, &x));
-                    let seq = simd::with_tier(t, || {
-                        let (d, _cache) = net.forward_with_derivs(&x, &prob.pde.diff_dims());
-                        let r = prob.pde.residuals(&x, &d);
-                        prob.weighted_row_losses(&r, rows)
-                    });
-                    assert_eq!(fused.len(), rows);
-                    for i in 0..rows {
-                        assert_eq!(
-                            fused[i].to_bits(),
-                            seq[i].to_bits(),
-                            "tier {} rows {rows} row {i}: {} vs {}",
-                            t.name(),
-                            fused[i],
-                            seq[i]
-                        );
-                    }
-                }
-            }
-        }
     }
 }

@@ -127,14 +127,14 @@ fn tape_grad(net: &Mlp, cfg: &MlpConfig) -> Vec<f64> {
 fn production_grad(net: &Mlp) -> Vec<f64> {
     let rows: Vec<&[f64]> = SAMPLES.iter().map(|s| &s[..]).collect();
     let x = Matrix::from_rows(&rows);
-    let (full, cache) = net.forward_with_derivs(&x, &[0]);
+    let (full, mut cache) = net.forward_with_derivs(&x, &[0]);
     let mut adj = BatchDerivatives::zeros_like(&full);
     for i in 0..SAMPLES.len() {
         adj.values.set(i, 0, 2.0 * full.values.get(i, 0));
         adj.jac[0].set(i, 0, 2.0 * full.jac[0].get(i, 0));
         adj.hess[0].set(i, 0, 2.0 * full.hess[0].get(i, 0));
     }
-    net.backward(&cache, &adj).flat()
+    net.backward(&mut cache, &adj).flat()
 }
 
 /// All four paths agree on the second-derivative loss, for every

@@ -171,14 +171,14 @@ fn parameter_gradients_match_tape_for_pinn_loss() {
 
     // Fast path.
     let x = Matrix::from_rows(&[&samples[0][..], &samples[1][..]]);
-    let (full, cache) = net.forward_with_derivs(&x, &[0]);
+    let (full, mut cache) = net.forward_with_derivs(&x, &[0]);
     let mut adj = BatchDerivatives::zeros_like(&full);
     for i in 0..2 {
         adj.values.set(i, 0, 2.0 * full.values.get(i, 0));
         adj.jac[0].set(i, 0, 2.0 * full.jac[0].get(i, 0));
         adj.hess[0].set(i, 0, 2.0 * full.hess[0].get(i, 0));
     }
-    let grads = net.backward(&cache, &adj).flat();
+    let grads = net.backward(&mut cache, &adj).flat();
 
     // Tape oracle (third-order differentiation under the hood).
     let (loss, pvars) = tape_loss(&net, &cfg, &samples);

@@ -82,7 +82,7 @@ fn mlp_gradients_bit_identical_across_thread_counts() {
         let runs = simd::with_tier(tier, || {
             run_per_thread_count(|| {
                 let values = net.forward(&x);
-                let (full, cache) = net.forward_with_derivs(&x, &[0, 1]);
+                let (full, mut cache) = net.forward_with_derivs(&x, &[0, 1]);
                 let mut adj = BatchDerivatives::zeros_like(&full);
                 for (dst, src) in adj
                     .values
@@ -101,7 +101,7 @@ fn mlp_gradients_bit_identical_across_thread_counts() {
                         *dst = 2.0 * src;
                     }
                 }
-                let grads = net.backward(&cache, &adj);
+                let grads = net.backward(&mut cache, &adj);
                 let mut flat = values.as_slice().to_vec();
                 for d in 0..2 {
                     flat.extend_from_slice(full.jac[d].as_slice());
@@ -191,7 +191,7 @@ fn batched_mlp_bit_identical_across_thread_counts_and_solo() {
         let solo: Vec<f64> = simd::with_tier(tier, || {
             let mut flat = Vec::new();
             for (net, x) in nets.iter().zip(&xs) {
-                let (d, cache) = net.forward_with_derivs(x, &[0, 1]);
+                let (d, mut cache) = net.forward_with_derivs(x, &[0, 1]);
                 let mut adj = BatchDerivatives::zeros_like(&d);
                 for (dst, src) in adj
                     .values
@@ -210,7 +210,7 @@ fn batched_mlp_bit_identical_across_thread_counts_and_solo() {
                         *dst = 2.0 * src;
                     }
                 }
-                let g = net.backward(&cache, &adj);
+                let g = net.backward(&mut cache, &adj);
                 batched_flat(&d, &g.flat(), &mut flat);
             }
             flat
