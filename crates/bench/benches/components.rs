@@ -1,7 +1,7 @@
 //! Micro-benchmarks backing the paper's §3.6 complexity claims plus the
 //! parallel-runtime speedups:
 //!
-//! * kNN construction is `O(N log N)` (HNSW) / near-linear (grid);
+//! * grid kNN construction is near-linear;
 //! * effective-resistance estimation and LRD are `O(kN)`;
 //! * the ISR solve is cheap on probe-sized sets;
 //! * SGM's refresh cost (r·N probes) is far below MIS's (N probes);
@@ -109,18 +109,16 @@ fn bench_gemm(r: &mut Runner) {
 fn bench_knn(r: &mut Runner) {
     for &n in &[1000usize, 4000, 16000] {
         let pts = cloud(n, 1);
-        for (name, strategy) in [("grid", KnnStrategy::Grid), ("hnsw", KnnStrategy::Hnsw)] {
-            r.bench("knn_scaling", &format!("{name}_{n}"), || {
-                build_knn_graph(
-                    &pts,
-                    &KnnConfig {
-                        k: 8,
-                        strategy,
-                        ..KnnConfig::default()
-                    },
-                )
-            });
-        }
+        r.bench("knn_scaling", &format!("grid_{n}"), || {
+            build_knn_graph(
+                &pts,
+                &KnnConfig {
+                    k: 8,
+                    strategy: KnnStrategy::Grid,
+                    ..KnnConfig::default()
+                },
+            )
+        });
     }
 }
 

@@ -2,23 +2,22 @@
 //!
 //! The PGM is a kNN graph over the collocation-point cloud: nearby points
 //! are conditionally dependent, with edge weight inversely proportional to
-//! distance. Three builders are provided:
+//! distance. Two exact builders are provided:
 //!
+//! * [`KnnStrategy::Grid`] — the production builder: a uniform bucket
+//!   grid, near-linear for the 2-D/3-D spatial coordinates PINN clouds
+//!   actually use (the incremental refresh path is grid-only too).
 //! * [`KnnStrategy::Brute`] — exact `O(N²)`; the oracle for tests and fine
 //!   for clouds below a few thousand points.
-//! * [`KnnStrategy::Grid`] — exact for low-dimensional clouds using a
-//!   uniform bucket grid; near-linear for the 2-D/3-D spatial coordinates
-//!   PINN clouds actually use.
-//! * [`KnnStrategy::Hnsw`] — approximate hierarchical navigable small world
-//!   ([`hnsw`]), the `O(N log N)` algorithm the paper cites (Malkov &
-//!   Yashunin, ref [17]).
+//!
+//! The paper builds S1 with HNSW (Malkov & Yashunin, ref [17]). On these
+//! low-dimensional clouds the exact grid is faster (about 10× at
+//! N = 16k in 2-D, `BENCH_PR1.json`), so no approximate index is kept.
 
 pub mod grid;
-pub mod hnsw;
 
 use crate::graph::Graph;
 use crate::points::{dist2, PointCloud};
-use sgm_linalg::rng::Rng64;
 use sgm_obs::{trace, Histogram, TraceLevel};
 
 /// Wall time of each full kNN graph build (nanoseconds).
@@ -36,8 +35,6 @@ pub enum KnnStrategy {
     Brute,
     /// Exact uniform-grid accelerated search (low dimensions).
     Grid,
-    /// Approximate HNSW (O(N log N) construction).
-    Hnsw,
 }
 
 /// Configuration for [`build_knn_graph`].
@@ -50,7 +47,9 @@ pub struct KnnConfig {
     /// Edge-weight scheme: `w = 1 / (dist + eps)` (inverse distance encodes
     /// conditional dependence). `eps` guards coincident points.
     pub weight_eps: f64,
-    /// RNG seed (HNSW level assignment).
+    /// Unused: no builder is randomised. It seeded the level assignment
+    /// of the approximate HNSW builder, which was removed; the field
+    /// stays so configurations that name it keep compiling.
     pub seed: u64,
 }
 
@@ -71,26 +70,6 @@ pub fn knn_lists(cloud: &PointCloud, cfg: &KnnConfig) -> Vec<Vec<(usize, f64)>> 
     match cfg.strategy {
         KnnStrategy::Brute => brute_knn(cloud, cfg.k),
         KnnStrategy::Grid => grid_knn(cloud, cfg.k),
-        KnnStrategy::Hnsw => {
-            let mut rng = Rng64::new(cfg.seed);
-            let index = hnsw::Hnsw::build(cloud, &hnsw::HnswParams::default(), &mut rng);
-            let n = cloud.len();
-            let query = |i: usize| -> Vec<(usize, f64)> {
-                index
-                    .search(cloud.point(i), cfg.k + 1)
-                    .into_iter()
-                    .filter(|&(j, _)| j != i)
-                    .take(cfg.k)
-                    .collect()
-            };
-            // Construction is inherently sequential (each insert reads the
-            // links of previous ones) but the bulk query phase is not.
-            let work = n.saturating_mul((cfg.k + 1) * 512);
-            match sgm_par::current().pool(work, KNN_PAR_WORK) {
-                Some(pool) => pool.par_map_indexed(n, 8, query),
-                None => (0..n).map(query).collect(),
-            }
-        }
     }
 }
 
@@ -112,15 +91,9 @@ pub fn build_knn_graph(cloud: &PointCloud, cfg: &KnnConfig) -> Graph {
             edges.push((i, j, w));
         }
     }
-    // from_edges merges duplicates by *summing*; halve weights of mutual
-    // pairs first so merged edges keep the 1/(d+eps) scale.
-    let mut seen = std::collections::HashSet::new();
-    for (i, nbrs) in lists.iter().enumerate() {
-        for &(j, _) in nbrs {
-            let key = if i < j { (i, j) } else { (j, i) };
-            seen.insert(key);
-        }
-    }
+    // A mutual pair is listed from both ends at the same distance; keep
+    // the first copy. `Graph::from_edges` sorts the edges, so the map's
+    // iteration order does not reach the graph.
     let mut dedup: std::collections::HashMap<(usize, usize), f64> =
         std::collections::HashMap::new();
     for (i, j, w) in edges {
@@ -314,6 +287,7 @@ pub fn point_dist2(a: &[f64], b: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sgm_linalg::rng::Rng64;
 
     fn ring_cloud(n: usize) -> PointCloud {
         let mut data = Vec::with_capacity(n * 2);
@@ -354,23 +328,6 @@ mod tests {
         let exact = brute_knn(&c, 4);
         let grid = grid_knn(&c, 4);
         assert!(recall(&grid, &exact) > 0.999);
-    }
-
-    #[test]
-    fn hnsw_recall_reasonable() {
-        let mut rng = Rng64::new(44);
-        let c = PointCloud::uniform_box(500, 2, 0.0, 1.0, &mut rng);
-        let exact = brute_knn(&c, 8);
-        let approx = knn_lists(
-            &c,
-            &KnnConfig {
-                k: 8,
-                strategy: KnnStrategy::Hnsw,
-                ..KnnConfig::default()
-            },
-        );
-        let r = recall(&approx, &exact);
-        assert!(r > 0.9, "hnsw recall {r}");
     }
 
     #[test]

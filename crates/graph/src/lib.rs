@@ -3,10 +3,9 @@
 //! Graph machinery for the SGM-PINN probabilistic graphical model (PGM):
 //!
 //! * [`points`] — flat, cache-friendly point clouds (`N × M` features).
-//! * [`knn`] — k-nearest-neighbour graph builders: exact brute force, a
-//!   uniform-grid accelerator for low-dimensional clouds, and a from-scratch
-//!   **HNSW** (hierarchical navigable small world, Malkov & Yashunin) index —
-//!   the algorithm the paper uses for S1 (`O(N log N)` construction).
+//! * [`knn`] — exact k-nearest-neighbour graph builders for S1: a
+//!   uniform-grid accelerator for low-dimensional clouds (production) and
+//!   brute force (the test oracle).
 //! * [`graph`] — undirected weighted graphs in edge + CSR adjacency form,
 //!   union–find, BFS/components.
 //! * [`laplacian`] — graph Laplacians (combinatorial and normalised) as

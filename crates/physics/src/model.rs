@@ -125,10 +125,9 @@ impl LossModel for PinnModel<'_> {
 
     fn loss_and_grad(&self, net: &Mlp, ws: &mut dyn ModelWorkspace, grads: &mut Gradients) -> f64 {
         let ws = PinnWorkspace::of(ws);
-        let mut total = 0.0;
         // Interior PDE term.
         net.forward_with_derivs_ws(&ws.xi, &ws.diff_dims, &mut ws.nni);
-        {
+        let mut total = {
             let PinnWorkspace {
                 nni,
                 xi,
@@ -137,50 +136,20 @@ impl LossModel for PinnModel<'_> {
                 adj_i,
                 ..
             } = &mut *ws;
-            let d = nni.derivs();
-            self.problem.pde.residuals_into(xi, d, resid);
-            let bi = xi.rows();
-            let nr = self.problem.pde.num_residuals();
-            let inv_b = 1.0 / bi as f64;
-            for i in 0..bi {
-                for k in 0..nr {
-                    let w = self.problem.residual_weights[k];
-                    let rv = resid.get(i, k);
-                    total += w * rv * rv * inv_b;
-                    factors.set(i, k, 2.0 * w * rv * inv_b);
-                }
-            }
-            adj_i.zero();
-            self.problem.pde.accumulate_adjoints(xi, d, factors, adj_i);
-        }
+            self.seed_interior(xi, nni.derivs(), resid, factors, adj_i)
+        };
         net.backward_ws(&mut ws.nni, &ws.adj_i, grads);
 
         // Boundary (Dirichlet) term, sharing the same gradient
         // accumulator.
         if ws.bb > 0 {
             net.forward_with_derivs_ws(&ws.xb, &[], &mut ws.nnb);
-            {
+            total += {
                 let PinnWorkspace {
                     nnb, adj_b, bidx, ..
                 } = &mut *ws;
-                let vals = &nnb.derivs().values;
-                let o = vals.cols();
-                let inv_b = 1.0 / bidx.len() as f64;
-                adj_b.zero();
-                for (row, &i) in bidx.iter().enumerate() {
-                    for k in 0..o {
-                        let t = self.data.boundary_targets.get(i, k);
-                        if t.is_nan() {
-                            continue;
-                        }
-                        let r = vals.get(row, k) - t;
-                        total += self.problem.bc_weight * r * r * inv_b;
-                        adj_b
-                            .values
-                            .set(row, k, 2.0 * self.problem.bc_weight * r * inv_b);
-                    }
-                }
-            }
+                self.seed_boundary(bidx, &nnb.derivs().values, adj_b)
+            };
             net.backward_ws(&mut ws.nnb, &ws.adj_b, grads);
         }
         total
@@ -252,10 +221,9 @@ impl LossModel for PinnModel<'_> {
 
 /// The staged halves of [`LossModel::loss_and_grad`], exposed so the
 /// lockstep runner (`sgm_train::multi`) can route the network forward
-/// and backward passes through the batched kernels. The adjoint
-/// arithmetic here is byte-for-byte the middle of `loss_and_grad`,
-/// reading from the passed derivatives instead of the internal network
-/// workspace — for bit-identical derivative inputs it produces
+/// and backward passes through the batched kernels. Both paths seed
+/// their adjoints through the same `seed_interior`/`seed_boundary`
+/// helpers — for bit-identical derivative inputs they produce
 /// bit-identical adjoints, which is what the lockstep determinism
 /// contract rests on.
 impl BatchedLossModel for PinnModel<'_> {
@@ -278,11 +246,36 @@ impl BatchedLossModel for PinnModel<'_> {
         derivs: &BatchDerivatives,
         adj: &mut BatchDerivatives,
     ) -> f64 {
-        let ws = PinnWorkspace::of(ws);
         let PinnWorkspace {
             xi, resid, factors, ..
-        } = &mut *ws;
-        self.problem.pde.residuals_into(xi, derivs, resid);
+        } = PinnWorkspace::of(ws);
+        self.seed_interior(xi, derivs, resid, factors, adj)
+    }
+
+    fn boundary_adjoints(
+        &self,
+        ws: &mut dyn ModelWorkspace,
+        values: &Matrix,
+        adj: &mut BatchDerivatives,
+    ) -> f64 {
+        self.seed_boundary(&PinnWorkspace::of(ws).bidx, values, adj)
+    }
+}
+
+impl PinnModel<'_> {
+    /// The interior adjoint seeding of both the solo and the batched
+    /// gradient paths: PDE residuals of the derivatives `d` at the
+    /// batch rows `xi`, their weighted mean square (returned) and its
+    /// adjoints, written into `adj`.
+    fn seed_interior(
+        &self,
+        xi: &Matrix,
+        d: &BatchDerivatives,
+        resid: &mut Matrix,
+        factors: &mut Matrix,
+        adj: &mut BatchDerivatives,
+    ) -> f64 {
+        self.problem.pde.residuals_into(xi, d, resid);
         let bi = xi.rows();
         let nr = self.problem.pde.num_residuals();
         let inv_b = 1.0 / bi as f64;
@@ -296,25 +289,20 @@ impl BatchedLossModel for PinnModel<'_> {
             }
         }
         adj.zero();
-        self.problem
-            .pde
-            .accumulate_adjoints(xi, derivs, factors, adj);
+        self.problem.pde.accumulate_adjoints(xi, d, factors, adj);
         total
     }
 
-    fn boundary_adjoints(
-        &self,
-        ws: &mut dyn ModelWorkspace,
-        values: &Matrix,
-        adj: &mut BatchDerivatives,
-    ) -> f64 {
-        let ws = PinnWorkspace::of(ws);
-        let o = values.cols();
-        let inv_b = 1.0 / ws.bidx.len() as f64;
+    /// The boundary adjoint seeding of both gradient paths: the
+    /// weighted Dirichlet loss of the network `values` at the boundary
+    /// points `bidx` (returned), with its value adjoints written into
+    /// `adj`. NaN targets are unconstrained.
+    fn seed_boundary(&self, bidx: &[usize], values: &Matrix, adj: &mut BatchDerivatives) -> f64 {
+        let inv_b = 1.0 / bidx.len() as f64;
         adj.zero();
         let mut total = 0.0;
-        for (row, &i) in ws.bidx.iter().enumerate() {
-            for k in 0..o {
+        for (row, &i) in bidx.iter().enumerate() {
+            for k in 0..values.cols() {
                 let t = self.data.boundary_targets.get(i, k);
                 if t.is_nan() {
                     continue;

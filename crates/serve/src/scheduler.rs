@@ -25,7 +25,9 @@ use sgm_json::{obj, Value};
 use sgm_obs::{flight, Counter, Gauge, Histogram, MetricScope};
 use sgm_par::Parallelism;
 use sgm_physics::PinnModel;
-use sgm_train::{run_lockstep, MultiJob, RunState, Segment, Stage, StageTimes, Trainer, Validator};
+use sgm_train::{
+    run_lockstep, Hook, MultiJob, ObsHook, RunState, Segment, Stage, StageTimes, Validator,
+};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -105,10 +107,11 @@ pub struct ServeConfig {
     /// to this many co-compatible queued jobs
     /// ([`JobSpec::co_compatible`]) into one slice executed through the
     /// batched multi-model kernels (`sgm_train::run_lockstep`). `1`
-    /// (the default) disables grouping. Per-job checkpoints stay
-    /// bit-identical to solo execution; only measured wall clocks
-    /// differ (each member is charged the full group slice) and
-    /// per-stage timing is not attributed for co-executed slices.
+    /// (the default) disables grouping; a group that finds no partner
+    /// runs solo. Per-job checkpoints stay bit-identical to solo
+    /// execution. Measured wall clocks differ: each member is charged
+    /// the full group slice, and its `loss_grad`/`step` stage times are
+    /// those of the shared group pass.
     pub co_slice: usize,
 }
 
@@ -374,15 +377,13 @@ impl Inner {
     /// Pops up to `width - 1` additional queued jobs that can share a
     /// lockstep slice with `lead` (scanning tenant queues in rotation
     /// order), returning the whole group with `lead` first. Returns
-    /// just `[lead]` when `lead` itself is not co-eligible — e.g. an
-    /// adaptive sampler, fault injection, or a resumed checkpoint
-    /// carrying point-set state.
+    /// just `[lead]` when `lead` itself cannot group (fault injection).
     fn pick_co_group(&mut self, lead: u64, width: usize) -> Vec<u64> {
         let mut group = vec![lead];
-        if width <= 1 || !co_eligible(&self.jobs[&lead]) {
+        let lead_spec = self.jobs[&lead].spec.clone();
+        if width <= 1 || !lead_spec.co_compatible(&lead_spec) {
             return group;
         }
-        let lead_spec = self.jobs[&lead].spec.clone();
         let tenants = self.tenants.clone();
         'scan: for t in &tenants {
             let Some(q) = self.queues.get_mut(t) else {
@@ -394,8 +395,7 @@ impl Inner {
                     break 'scan;
                 }
                 let id = q[i];
-                let job = &self.jobs[&id];
-                if co_eligible(job) && lead_spec.co_compatible(&job.spec) {
+                if lead_spec.co_compatible(&self.jobs[&id].spec) {
                     q.remove(i);
                     self.queued -= 1;
                     group.push(id);
@@ -672,8 +672,8 @@ impl Scheduler {
     ///
     /// With [`ServeConfig::co_slice`] > 1 the worker batches up to that
     /// many co-compatible queued jobs into one lockstep slice executed
-    /// through `sgm_train::run_lockstep` — same per-job checkpoints,
-    /// one pass through the batched kernels.
+    /// through `sgm_train::run_lockstep` — same per-job checkpoints and
+    /// stage timings, one pass through the batched kernels.
     pub fn worker_loop(&self) {
         loop {
             let (group, specs, starts, stop_afters) = {
@@ -712,36 +712,18 @@ impl Scheduler {
             };
 
             let t0 = Instant::now();
-            // Per-job outcome: (segment, per-stage timings). Co-executed
-            // slices carry no stage attribution; group-level failures
-            // (panic or error) are charged to every member.
-            type SliceOutcome = Result<(Segment, Option<StageTimes>), (String, bool)>;
-            let outcomes: Vec<SliceOutcome> = if group.len() == 1 {
-                let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    run_slice(
-                        &specs[0],
-                        starts[0].as_ref(),
-                        stop_afters[0],
-                        self.cfg.parallelism,
-                    )
-                }));
-                vec![match caught {
-                    Err(payload) => Err((panic_message(&payload), true)),
-                    Ok(Err(msg)) => Err((msg, false)),
-                    Ok(Ok((segment, stages))) => Ok((segment, Some(stages))),
-                }]
-            } else {
-                let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    run_co_slice(&specs, &starts, &stop_afters, self.cfg.parallelism)
-                }));
-                match caught {
-                    Err(payload) => {
-                        let msg = panic_message(&payload);
-                        group.iter().map(|_| Err((msg.clone(), true))).collect()
-                    }
-                    Ok(Err(msg)) => group.iter().map(|_| Err((msg.clone(), false))).collect(),
-                    Ok(Ok(segments)) => segments.into_iter().map(|s| Ok((s, None))).collect(),
+            // Group-level failures (panic or error) are charged to every
+            // member.
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                run_slice(&specs, &starts, &stop_afters, self.cfg.parallelism)
+            }));
+            let outcomes: Vec<Result<(Segment, StageTimes), (String, bool)>> = match caught {
+                Err(payload) => {
+                    let msg = panic_message(&payload);
+                    group.iter().map(|_| Err((msg.clone(), true))).collect()
                 }
+                Ok(Err(msg)) => group.iter().map(|_| Err((msg.clone(), false))).collect(),
+                Ok(Ok(slices)) => slices.into_iter().map(Ok).collect(),
             };
             let elapsed = t0.elapsed();
             SLICE_NS.record(elapsed.as_nanos().min(u64::MAX as u128) as u64);
@@ -773,11 +755,9 @@ impl Scheduler {
                         JOBS_FAILED.inc();
                     }
                     Ok((segment, stages)) => {
-                        if let Some(stages) = &stages {
-                            for s in Stage::ALL {
-                                job.stage_ns[s.index()] += stages.total_duration(s).as_nanos();
-                                job.stage_counts[s.index()] += stages.count(s);
-                            }
+                        for s in Stage::ALL {
+                            job.stage_ns[s.index()] += stages.total_duration(s).as_nanos();
+                            job.stage_counts[s.index()] += stages.count(s);
                         }
                         if let Some(state) = segment.state {
                             job.iteration = state.iteration;
@@ -829,13 +809,6 @@ impl Scheduler {
     }
 }
 
-/// Whether a job may enter a lockstep co-execution group at all: the
-/// spec must be self-compatible (draw-only sampler, no fault injection)
-/// and any resume checkpoint must carry no point-set state.
-fn co_eligible(job: &Job) -> bool {
-    job.spec.co_compatible(&job.spec) && job.run.as_ref().is_none_or(|r| r.points.is_none())
-}
-
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -846,87 +819,62 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Builds the job from its spec, restores `start` and runs iterations
-/// up to `stop_after` under `parallelism` — the single execution path
-/// shared by first slices, preempted continuations and client-uploaded
-/// warm resumes.
+/// Builds every job of a group from its spec, restores its `start`
+/// checkpoint and runs it up to its `stop_after` under `parallelism`,
+/// with per-job stage timings and metrics — the single execution path
+/// shared by first slices, preempted continuations, client-uploaded
+/// warm resumes and co-executed groups. A group of one runs solo; a
+/// larger group runs in lockstep through the batched kernels, each
+/// job's segment bit-identical to its solo one (under synthetic clocks;
+/// measured clocks share the group's iteration timer).
 fn run_slice(
-    spec: &JobSpec,
-    start: Option<&RunState>,
-    stop_after: usize,
-    parallelism: Parallelism,
-) -> Result<(Segment, StageTimes), String> {
-    sgm_par::with_parallelism(parallelism, || {
-        let mut built = spec.build()?;
-        let model = PinnModel::new(&built.problem, &built.data);
-        let mut trainer = Trainer {
-            net: &mut built.net,
-            model: &model,
-        };
-        let mut stages = StageTimes::new();
-        let mut obs = sgm_train::ObsHook::new();
-        let segment = trainer.run_segment(
-            built.sampler.as_mut(),
-            built.validation.as_ref().map(|v| v as &dyn Validator),
-            &built.opts,
-            &mut [&mut stages, &mut obs],
-            start,
-            stop_after,
-        )?;
-        Ok((segment, stages))
-    })
-}
-
-/// Builds every job in a co-execution group, restores its checkpoint
-/// and runs the whole group through the batched lockstep runner in one
-/// pass. Each returned [`Segment`] is bit-identical to the one the solo
-/// [`run_slice`] path would have produced for that job (under synthetic
-/// clocks; measured clocks share the group's iteration timer).
-fn run_co_slice(
     specs: &[JobSpec],
     starts: &[Option<RunState>],
     stop_afters: &[usize],
     parallelism: Parallelism,
-) -> Result<Vec<Segment>, String> {
+) -> Result<Vec<(Segment, StageTimes)>, String> {
     sgm_par::with_parallelism(parallelism, || {
-        let mut nets = Vec::with_capacity(specs.len());
-        let mut samplers = Vec::with_capacity(specs.len());
-        let mut problems = Vec::with_capacity(specs.len());
-        let mut validations = Vec::with_capacity(specs.len());
-        let mut optses = Vec::with_capacity(specs.len());
+        // Per job: the pieces models borrow, and the ones training
+        // mutates (network, sampler, hooks).
+        let mut fixed = Vec::with_capacity(specs.len());
+        let mut live = Vec::with_capacity(specs.len());
         for spec in specs {
-            let built = spec.build()?;
-            nets.push(built.net);
-            samplers.push(built.sampler);
-            problems.push((built.problem, built.data));
-            validations.push(built.validation);
-            optses.push(built.opts);
+            let b = spec.build()?;
+            fixed.push((b.problem, b.data, b.validation, b.opts));
+            live.push((b.net, b.sampler, StageTimes::new(), ObsHook::new()));
         }
-        let models: Vec<PinnModel<'_>> = problems
+        let models: Vec<PinnModel<'_>> = fixed
             .iter()
-            .map(|(problem, data)| PinnModel::new(problem, data))
+            .map(|(problem, data, ..)| PinnModel::new(problem, data))
             .collect();
-        let mut jobs: Vec<MultiJob<'_>> = nets
+        let mut jobs: Vec<MultiJob<'_>> = live
             .iter_mut()
+            .zip(&fixed)
             .zip(&models)
-            .zip(samplers.iter_mut())
-            .zip(&validations)
-            .zip(&optses)
-            .zip(starts)
-            .zip(stop_afters)
+            .zip(starts.iter().zip(stop_afters))
             .map(
-                |((((((net, model), sampler), validation), opts), start), &stop_after)| MultiJob {
-                    net,
-                    model,
-                    sampler: sampler.as_mut(),
-                    validator: validation.as_ref().map(|v| v as &dyn Validator),
-                    opts,
-                    start: start.as_ref(),
-                    stop_after,
+                |(((live, (_, _, validation, opts)), model), (start, &stop_after))| {
+                    let (net, sampler, stages, obs) = live;
+                    MultiJob {
+                        net,
+                        model,
+                        sampler: sampler.as_mut(),
+                        validator: validation.as_ref().map(|v| v as &dyn Validator),
+                        opts,
+                        hooks: vec![stages as &mut dyn Hook, obs],
+                        start: start.as_ref(),
+                        stop_after,
+                    }
                 },
             )
             .collect();
-        run_lockstep(&mut jobs)
+        let segments = run_lockstep(&mut jobs)?;
+        drop(jobs);
+        Ok(segments
+            .into_iter()
+            .zip(live)
+            .map(|(segment, (_, _, stages, _))| (segment, stages))
+            .collect())
     })
 }
 
@@ -1111,7 +1059,7 @@ mod tests {
         let c = sched.submit(wide, None).unwrap(); // different arch
         let mut adaptive = quick_spec("b", 20);
         adaptive.sampler = "rad".into();
-        let d = sched.submit(adaptive, None).unwrap(); // point-adaptive
+        let d = sched.submit(adaptive, None).unwrap(); // compatible, point-adaptive
         let mut mis = quick_spec("c", 40);
         mis.sampler = "mis".into();
         let e = sched.submit(mis, None).unwrap(); // compatible, draw-only
@@ -1120,18 +1068,18 @@ mod tests {
         let lead = inner.pick().unwrap();
         assert_eq!(lead, a);
         let group = inner.pick_co_group(lead, 4);
-        assert_eq!(group, vec![a, b, e]);
-        // The incompatible jobs are still queued, in order.
-        assert_eq!(inner.queued, 2);
-        assert_eq!(inner.pick(), Some(d));
+        assert_eq!(group, vec![a, b, d, e]);
+        // The incompatible job is still queued.
+        assert_eq!(inner.queued, 1);
         assert_eq!(inner.pick(), Some(c));
     }
 
-    /// A mixed fleet under co-execution: three groupable jobs (two
-    /// samplers, three tenants, different seeds/lr/iterations) plus two
-    /// ungroupable ones. Every job must complete with a final
-    /// checkpoint bit-identical to its solo local run — co-execution is
-    /// a throughput optimisation, never a semantic one.
+    /// A mixed fleet under co-execution: four groupable jobs (three
+    /// samplers, one of them point-adaptive, three tenants, different
+    /// seeds/lr/iterations) plus one ungroupable one. Every job must
+    /// complete with a final checkpoint bit-identical to its solo local
+    /// run — co-execution is a throughput optimisation, never a
+    /// semantic one — and with every training stage attributed.
     #[test]
     fn co_executed_jobs_match_local_runs_bitwise() {
         let mut specs = [
@@ -1146,7 +1094,7 @@ mod tests {
         specs[2].sampler = "mis".into();
         specs[2].net_seed = 17;
         specs[3].hidden_width = 6; // never groups with the others
-        specs[4].sampler = "rad".into(); // adaptive: always solo
+        specs[4].sampler = "rad".into(); // adaptive, groups like the rest
         let local: Vec<RunState> = specs
             .iter()
             .map(|s| crate::spec::run_local(s).unwrap().1)
@@ -1170,6 +1118,16 @@ mod tests {
                     local[i].to_json().unwrap(),
                     "job {i}: server checkpoint diverged from local run"
                 );
+                let counts = sched.with_job(id, |j| j.stage_counts).unwrap();
+                for s in &Stage::ALL[..Stage::Record.index()] {
+                    assert_eq!(
+                        counts[s.index()],
+                        specs[i].iterations as u64,
+                        "job {i}: stage {}",
+                        s.name()
+                    );
+                }
+                assert!(counts[Stage::Record.index()] > 0, "job {i}: record");
             }
         });
     }

@@ -290,25 +290,15 @@ impl JobSpec {
 }
 
 impl JobSpec {
-    /// Whether this spec's sampler only draws batches from a fixed
-    /// collocation set (never mutates points) — a precondition for
-    /// lockstep co-execution, which cannot carry per-job point-set
-    /// state through the batched path.
-    pub fn draw_only_sampler(&self) -> bool {
-        matches!(self.sampler.as_str(), "uniform" | "mis" | "rar" | "sgm")
-    }
-
     /// Whether two jobs may share one lockstep co-execution slice: same
     /// problem preset and network architecture, same interior batch and
-    /// effective boundary batch, both draw-only and fault-free.
-    /// Everything else — seeds, learning rates, iteration counts,
-    /// datasets, validation, sampler kind — may differ per lane; the
-    /// batched runner keeps each job's `RunState` bit-identical to solo
-    /// execution regardless of grouping.
+    /// effective boundary batch, both fault-free. Everything else —
+    /// seeds, learning rates, iteration counts, datasets, validation,
+    /// sampler kind (point-adapting ones included) — may differ per
+    /// lane; the lockstep runner keeps each job's `RunState`
+    /// bit-identical to solo execution regardless of grouping.
     pub fn co_compatible(&self, other: &JobSpec) -> bool {
-        self.draw_only_sampler()
-            && other.draw_only_sampler()
-            && self.panic_at_iteration.is_none()
+        self.panic_at_iteration.is_none()
             && other.panic_at_iteration.is_none()
             && self.preset == other.preset
             && self.hidden_width == other.hidden_width

@@ -7,6 +7,19 @@
 //! steady-state iteration performs no heap allocations under serial
 //! parallelism.
 //!
+//! # One run path
+//!
+//! Every run — a [`Trainer`] call or a lockstep group of jobs
+//! ([`run_lockstep`](crate::run_lockstep)) — goes through
+//! `run_group`. Each job is restored from its [`RunState`] by one
+//! function, runs `Refresh → Adapt → Draw → Gather` on its own RNG and
+//! point set, reports to its own hooks, records and is captured by one
+//! function. Only `LossGrad` and `Step` depend on the group: a group of
+//! one runs them solo ([`LossModel::loss_and_grad`] + [`Adam`]), a
+//! larger group runs them once for all members through the batched
+//! kernels (`crate::multi`). Batched execution is bit-identical to
+//! solo execution, so the choice changes only speed.
+//!
 //! # The adapt stage
 //!
 //! When the sampler opts into point-set mutation
@@ -24,7 +37,7 @@
 //! # Time accounting
 //!
 //! Two clocks are kept. The **training clock** advances by the measured
-//! duration of the five training stages (or by
+//! duration of the training stages of one group iteration (or by
 //! [`TrainOptions::synthetic_dt`] when set); it is what
 //! [`Record::seconds`], [`TrainOptions::max_seconds`] and
 //! [`TrainResult::time_to_error`] read. The **recording clock**
@@ -32,17 +45,18 @@
 //! paper's wall-time comparisons deliberately exclude.
 
 use crate::hooks::{Hook, Stage};
-use crate::model::{LossModel, Validator};
+use crate::model::{BatchedLossModel, LossModel, ModelWorkspace, Validator};
+use crate::multi::BatchedExecutor;
 use crate::pointset::{PointChanges, PointSet};
 use crate::result::{Record, TrainResult};
 use crate::runstate::{PointsCheckpoint, RunState};
 use crate::sampler::{Probe, Sampler};
 use sgm_linalg::rng::Rng64;
 use sgm_nn::checkpoint::Checkpoint;
-use sgm_nn::mlp::Mlp;
+use sgm_nn::mlp::{Gradients, Mlp};
 use sgm_nn::optimizer::{Adam, AdamConfig};
 use sgm_obs::{trace, TraceLevel};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Training-loop options.
 #[derive(Debug, Clone)]
@@ -138,7 +152,7 @@ impl Trainer<'_> {
     ) -> TrainResult {
         self.run_core(sampler, validator, opts, hooks, None, None)
             .expect("fresh run cannot fail to restore")
-            .0
+            .result
     }
 
     /// Trains for exactly `stop_after` iterations and returns the full
@@ -158,14 +172,9 @@ impl Trainer<'_> {
         opts: &TrainOptions,
         stop_after: usize,
     ) -> RunState {
-        assert!(
-            stop_after >= 1 && stop_after <= opts.iterations,
-            "stop_after {stop_after} outside 1..={}",
-            opts.iterations
-        );
         self.run_core(sampler, validator, opts, &mut [], None, Some(stop_after))
-            .expect("fresh run cannot fail to restore")
-            .1
+            .unwrap_or_else(|e| panic!("{e}"))
+            .state
             .expect("stopped before reaching stop_after (budget exhausted?)")
     }
 
@@ -200,23 +209,7 @@ impl Trainer<'_> {
         start: Option<&RunState>,
         stop_after: usize,
     ) -> Result<Segment, String> {
-        if stop_after == 0 || stop_after > opts.iterations {
-            return Err(format!(
-                "stop_after {stop_after} outside 1..={}",
-                opts.iterations
-            ));
-        }
-        if let Some(st) = start {
-            if st.iteration >= stop_after {
-                return Err(format!(
-                    "state is already at iteration {}, past stop_after {stop_after}",
-                    st.iteration
-                ));
-            }
-        }
-        let (result, state) =
-            self.run_core(sampler, validator, opts, hooks, start, Some(stop_after))?;
-        Ok(Segment { result, state })
+        self.run_core(sampler, validator, opts, hooks, start, Some(stop_after))
     }
 
     /// Resumes a run captured by [`Trainer::run_until`] (or a
@@ -237,7 +230,7 @@ impl Trainer<'_> {
     ) -> Result<TrainResult, String> {
         Ok(self
             .run_core(sampler, validator, opts, &mut [], Some(state), None)?
-            .0)
+            .result)
     }
 
     fn run_core(
@@ -248,60 +241,255 @@ impl Trainer<'_> {
         hooks: &mut [&mut dyn Hook],
         start: Option<&RunState>,
         stop_after: Option<usize>,
-    ) -> Result<(TrainResult, Option<RunState>), String> {
+    ) -> Result<Segment, String> {
+        let mut group = [Member {
+            net: &mut *self.net,
+            model: self.model,
+            batched: None,
+            sampler,
+            validator,
+            opts,
+            hooks,
+            start,
+            stop_after,
+        }];
+        Ok(run_group(&mut group)?
+            .pop()
+            .expect("one segment per member"))
+    }
+}
+
+/// One job as the engine drives it: the borrowed pieces of a
+/// [`Trainer`] call or of one lockstep group member.
+pub(crate) struct Member<'a, 'h> {
+    pub(crate) net: &'a mut Mlp,
+    pub(crate) model: &'a (dyn LossModel + 'a),
+    /// The same model behind its batched interface; every member of a
+    /// group of two or more carries it.
+    pub(crate) batched: Option<&'a (dyn BatchedLossModel + 'a)>,
+    pub(crate) sampler: &'a mut dyn Sampler,
+    pub(crate) validator: Option<&'a dyn Validator>,
+    pub(crate) opts: &'a TrainOptions,
+    pub(crate) hooks: &'a mut [&'h mut dyn Hook],
+    pub(crate) start: Option<&'a RunState>,
+    /// Capture the run state after this many iterations; `None` trains
+    /// to `opts.iterations` without a capture.
+    pub(crate) stop_after: Option<usize>,
+}
+
+/// The boundary batch the engine draws: `batch_boundary` clamped to
+/// the boundary set, 0 when the model has no boundary term.
+pub(crate) fn boundary_batch(model: &dyn LossModel, opts: &TrainOptions) -> usize {
+    opts.batch_boundary.min(model.num_boundary())
+}
+
+/// Runs every member from its start to its boundary, one group
+/// iteration at a time, and returns one [`Segment`] per member, in
+/// order. All members must have the same number of remaining steps
+/// (`crate::multi` checks this, with the other group constraints,
+/// before calling). If any member's `max_seconds` budget expires, the
+/// whole group stops at that iteration boundary: the expired members
+/// report `state: None` and the others report the early boundary.
+pub(crate) fn run_group(members: &mut [Member<'_, '_>]) -> Result<Vec<Segment>, String> {
+    let grouped = members.len() > 1;
+    let mut runs = Vec::with_capacity(members.len());
+    for (j, m) in members.iter_mut().enumerate() {
+        let run =
+            JobRun::restore(m).map_err(|e| if grouped { format!("job {j}: {e}") } else { e })?;
+        runs.push(run);
+    }
+    let steps = members[0]
+        .stop_after
+        .unwrap_or(members[0].opts.iterations)
+        .saturating_sub(runs[0].iter);
+    let mut exec = if grouped {
+        Executor::Batched(Box::new(BatchedExecutor::new(members)))
+    } else {
+        Executor::solo(&members[0])
+    };
+    for _ in 0..steps {
+        let mut expired = false;
+        for (m, run) in members.iter().zip(&mut runs) {
+            run.expired = m.opts.max_seconds.is_some_and(|b| run.train_clock >= b);
+            expired |= run.expired;
+        }
+        if expired {
+            break;
+        }
+        let t0 = Instant::now();
+        for (m, run) in members.iter_mut().zip(&mut runs) {
+            run.prepare(m);
+        }
+        let t1 = Instant::now();
+        {
+            let _s = trace::span(TraceLevel::Stages, "engine", "stage_loss_grad");
+            exec.loss_grad(members, &mut runs);
+        }
+        let t2 = Instant::now();
+        {
+            let _s = trace::span(TraceLevel::Stages, "engine", "stage_step");
+            exec.step(members);
+        }
+        let t3 = Instant::now();
+        for (m, run) in members.iter_mut().zip(&mut runs) {
+            run.finish(m, t2 - t1, t3 - t2, t3 - t0);
+        }
+    }
+    Ok(members
+        .iter()
+        .zip(runs)
+        .enumerate()
+        .map(|(j, (m, run))| {
+            let capture = m.stop_after.is_some() && !run.expired;
+            run.into_segment(m, capture.then(|| exec.adam_state(j)))
+        })
+        .collect())
+}
+
+/// How a group runs its `LossGrad` and `Step` stages.
+enum Executor {
+    /// A group of one: the model's own gradient and one Adam.
+    Solo { adam: Adam, grads: Gradients },
+    /// Two or more jobs through the batched kernels.
+    Batched(Box<BatchedExecutor>),
+}
+
+impl Executor {
+    fn solo(m: &Member<'_, '_>) -> Executor {
+        let mut adam = Adam::new(m.net, m.opts.adam.clone());
+        if let Some(st) = m.start {
+            adam.restore_state(st.adam_t, &st.adam_m, &st.adam_v);
+        }
+        Executor::Solo {
+            adam,
+            grads: m.net.zero_gradients(),
+        }
+    }
+
+    fn loss_grad(&mut self, members: &[Member<'_, '_>], runs: &mut [JobRun]) {
+        match self {
+            Executor::Solo { grads, .. } => {
+                grads.zero();
+                members[0]
+                    .model
+                    .loss_and_grad(members[0].net, &mut *runs[0].ws, grads);
+            }
+            Executor::Batched(b) => b.loss_grad(members, runs),
+        }
+    }
+
+    fn step(&mut self, members: &mut [Member<'_, '_>]) {
+        match self {
+            Executor::Solo { adam, grads } => adam.step(members[0].net, grads),
+            Executor::Batched(b) => b.step(members),
+        }
+    }
+
+    /// Member `j`'s Adam step count and moments.
+    fn adam_state(&self, j: usize) -> (usize, Vec<f64>, Vec<f64>) {
+        match self {
+            Executor::Solo { adam, .. } => {
+                let (t, m, v) = adam.state();
+                (t, m.to_vec(), v.to_vec())
+            }
+            Executor::Batched(b) => b.adam_state(j),
+        }
+    }
+}
+
+/// One job's loop state between iterations: RNG, clocks, history,
+/// batch indices, model workspace and the optional mutable point set.
+pub(crate) struct JobRun {
+    /// The next iteration to run.
+    iter: usize,
+    train_clock: f64,
+    record_clock: f64,
+    history: Vec<Record>,
+    rng: Rng64,
+    idx: Vec<usize>,
+    bidx: Vec<usize>,
+    /// Effective boundary batch.
+    bb: usize,
+    pub(crate) ws: Box<dyn ModelWorkspace>,
+    points: Option<PointSet>,
+    changes: PointChanges,
+    points_changed: bool,
+    /// Refresh, adapt, draw and gather times of the current iteration.
+    prep: [Duration; 4],
+    expired: bool,
+}
+
+impl JobRun {
+    /// The one restore path: checks the member's stop boundary and batch
+    /// size, then restores net, sampler, RNG, point set, clocks and
+    /// history from `m.start` (or starts fresh) and builds the
+    /// workspaces. Adam moments are checked here and loaded by the
+    /// executor.
+    fn restore(m: &mut Member<'_, '_>) -> Result<JobRun, String> {
+        let opts = m.opts;
+        if let Some(stop) = m.stop_after {
+            if stop == 0 || stop > opts.iterations {
+                return Err(format!("stop_after {stop} outside 1..={}", opts.iterations));
+            }
+            if let Some(st) = m.start.filter(|st| st.iteration >= stop) {
+                return Err(format!(
+                    "state is already at iteration {}, past stop_after {stop}",
+                    st.iteration
+                ));
+            }
+        }
         assert!(opts.batch_interior > 0, "batch_interior must be positive");
         assert!(
-            opts.batch_interior <= self.model.num_interior(),
+            opts.batch_interior <= m.model.num_interior(),
             "batch larger than dataset"
         );
         // The mutable collocation set, owned by the engine whenever the
         // sampler adapts points. Seeded from the model; overwritten from
         // the checkpoint on resume.
-        let mut points: Option<PointSet> = if sampler.adapts_points() {
-            let cloud = self.model.interior_cloud().unwrap_or_else(|| {
+        let mut points: Option<PointSet> = if m.sampler.adapts_points() {
+            let cloud = m.model.interior_cloud().unwrap_or_else(|| {
                 panic!(
                     "sampler {:?} adapts the point set but the model provides no interior_cloud",
-                    sampler.name()
+                    m.sampler.name()
                 )
             });
             Some(PointSet::new(cloud))
         } else {
             None
         };
-        let mut start_iter = 0usize;
+        let mut iter = 0usize;
         let mut train_clock = 0.0;
         let mut record_clock = 0.0;
         let mut history: Vec<Record> = Vec::new();
         let mut rng = Rng64::new(opts.seed);
-        if let Some(st) = start {
-            if st.sampler_name != sampler.name() {
+        if let Some(st) = m.start {
+            if st.sampler_name != m.sampler.name() {
                 return Err(format!(
                     "state saved with sampler {:?}, resuming with {:?}",
                     st.sampler_name,
-                    sampler.name()
+                    m.sampler.name()
                 ));
             }
             let restored = st.net.restore().map_err(|e| format!("net restore: {e}"))?;
-            if restored.num_params() != self.net.num_params() {
+            if restored.num_params() != m.net.num_params() {
                 return Err(format!(
                     "state has {} parameters, network has {}",
                     restored.num_params(),
-                    self.net.num_params()
+                    m.net.num_params()
                 ));
             }
-            *self.net = restored;
+            *m.net = restored;
             rng = Rng64::from_state(st.rng_state, st.rng_gauss_spare);
-            sampler.load_state(&st.sampler_state)?;
+            m.sampler.load_state(&st.sampler_state)?;
             match &st.points {
                 Some(p) => {
-                    if !sampler.adapts_points() {
+                    let Some(reference) = points.as_ref() else {
                         return Err(format!(
                             "state carries a mutated point set but sampler {:?} \
                              does not adapt points",
-                            sampler.name()
+                            m.sampler.name()
                         ));
-                    }
-                    let reference = points.as_ref().expect("adapting sampler has a set");
+                    };
                     if p.dim != reference.dim() {
                         return Err(format!(
                             "state point set has dim {}, model has dim {}",
@@ -317,202 +505,216 @@ impl Trainer<'_> {
                         ));
                     }
                     let ps = PointSet::from_parts(p.dim, p.coords.clone(), p.epoch);
-                    sampler.sync_points(&ps);
+                    m.sampler.sync_points(&ps);
                     points = Some(ps);
                 }
                 // v1 state (or pre-mutation run): keep the model's
                 // initial cloud.
                 None => {
                     if let Some(ps) = &points {
-                        sampler.sync_points(ps);
+                        m.sampler.sync_points(ps);
                     }
                 }
+            }
+            if st.adam_m.len() != m.net.num_params() {
+                return Err(format!(
+                    "state has {} Adam moments, network has {} parameters",
+                    st.adam_m.len(),
+                    m.net.num_params()
+                ));
             }
             history = st.history.clone();
             train_clock = st.train_seconds;
             record_clock = st.record_seconds;
-            start_iter = st.iteration;
+            iter = st.iteration;
         }
-        let mut adam = Adam::new(self.net, opts.adam.clone());
-        if let Some(st) = start {
-            if st.adam_m.len() != self.net.num_params() {
-                return Err(format!(
-                    "state has {} Adam moments, network has {} parameters",
-                    st.adam_m.len(),
-                    self.net.num_params()
-                ));
-            }
-            adam.restore_state(st.adam_t, &st.adam_m, &st.adam_v);
-        }
-        let n_boundary = self.model.num_boundary();
-        let bb = if n_boundary > 0 {
-            opts.batch_boundary.min(n_boundary)
-        } else {
-            0
-        };
+        let bb = boundary_batch(m.model, opts);
         // Per-run workspaces: everything the hot loop touches is
         // allocated here, once.
-        let mut ws = self.model.make_workspace(self.net, opts.batch_interior, bb);
-        let mut grads = self.net.zero_gradients();
-        let mut idx: Vec<usize> = Vec::with_capacity(opts.batch_interior);
-        let mut bidx: Vec<usize> = Vec::with_capacity(bb);
-        let mut changes = PointChanges::default();
-        let mut saved: Option<RunState> = None;
+        Ok(JobRun {
+            iter,
+            train_clock,
+            record_clock,
+            history,
+            rng,
+            idx: Vec::with_capacity(opts.batch_interior),
+            bidx: Vec::with_capacity(bb),
+            bb,
+            ws: m.model.make_workspace(m.net, opts.batch_interior, bb),
+            points,
+            changes: PointChanges::default(),
+            points_changed: false,
+            prep: [Duration::ZERO; 4],
+            expired: false,
+        })
+    }
 
-        for iter in start_iter..opts.iterations {
-            if let Some(budget) = opts.max_seconds {
-                if train_clock >= budget {
-                    break;
-                }
-            }
-            let t0 = Instant::now();
+    /// `Refresh → Adapt → Draw → Gather` for the current iteration, each
+    /// under its trace span and timed for the hooks.
+    fn prepare(&mut self, m: &mut Member<'_, '_>) {
+        let iter = self.iter;
+        let t0 = Instant::now();
+        {
+            // The span is open while the sampler runs, so sampler
+            // internals (and any background-rebuild request) parent
+            // under it.
+            let _s = trace::span(TraceLevel::Stages, "engine", "stage_refresh");
+            let probe = Probe::with_points(m.net, m.model, self.points.as_ref());
+            m.sampler.refresh(iter, &probe, &mut self.rng);
+        }
+        let t1 = Instant::now();
+        self.points_changed = false;
+        if let Some(ps) = self.points.as_mut() {
+            let _s = trace::span(TraceLevel::Stages, "engine", "stage_adapt");
             {
-                // The span is open while the sampler runs, so sampler
-                // internals (and any background-rebuild request) parent
-                // under it.
-                let _s = trace::span(TraceLevel::Stages, "engine", "stage_refresh");
-                let probe = Probe::with_points(self.net, self.model, points.as_ref());
-                sampler.refresh(iter, &probe, &mut rng);
+                let probe = Probe::new(m.net, m.model);
+                m.sampler.adapt(ps, iter, &probe, &mut self.rng);
             }
-            let t1 = Instant::now();
-            let mut points_changed = false;
-            if let Some(ps) = points.as_mut() {
-                let _s = trace::span(TraceLevel::Stages, "engine", "stage_adapt");
-                {
-                    let probe = Probe::new(self.net, self.model);
-                    sampler.adapt(ps, iter, &probe, &mut rng);
-                }
-                if ps.drain_changes(&mut changes) {
-                    assert!(
-                        opts.batch_interior <= ps.len(),
-                        "adapt at iteration {iter} shrank the point set to {} points, \
-                         below batch_interior {}",
-                        ps.len(),
-                        opts.batch_interior
-                    );
-                    sampler.on_points_changed(ps, &changes);
-                    points_changed = true;
-                }
-            }
-            let t1a = Instant::now();
-            {
-                let _s = trace::span(TraceLevel::Stages, "engine", "stage_draw");
-                sampler.fill_batch(opts.batch_interior, &mut idx, &mut rng);
-                bidx.clear();
-                for _ in 0..bb {
-                    bidx.push(rng.below(n_boundary));
-                }
-            }
-            let t2 = Instant::now();
-            {
-                let _s = trace::span(TraceLevel::Stages, "engine", "stage_gather");
-                match &points {
-                    Some(ps) => self.model.gather_from(ps.cloud(), &idx, &bidx, &mut *ws),
-                    None => self.model.gather(&idx, &bidx, &mut *ws),
-                }
-            }
-            let t3 = Instant::now();
-            {
-                let _s = trace::span(TraceLevel::Stages, "engine", "stage_loss_grad");
-                grads.zero();
-                self.model.loss_and_grad(self.net, &mut *ws, &mut grads);
-            }
-            let t4 = Instant::now();
-            {
-                let _s = trace::span(TraceLevel::Stages, "engine", "stage_step");
-                adam.step(self.net, &grads);
-            }
-            let t5 = Instant::now();
-            for h in hooks.iter_mut() {
-                h.on_stage(iter, Stage::Refresh, t1 - t0);
-                h.on_stage(iter, Stage::Adapt, t1a - t1);
-                h.on_stage(iter, Stage::Draw, t2 - t1a);
-                h.on_stage(iter, Stage::Gather, t3 - t2);
-                h.on_stage(iter, Stage::LossGrad, t4 - t3);
-                h.on_stage(iter, Stage::Step, t5 - t4);
-                if points_changed {
-                    let ps = points.as_ref().expect("changed set exists");
-                    h.on_points(iter, ps.len(), &changes);
-                }
-                h.on_iteration(iter);
-            }
-            train_clock += opts.synthetic_dt.unwrap_or_else(|| (t5 - t0).as_secs_f64());
-
-            if iter % opts.record_every == 0 || iter + 1 == opts.iterations {
-                let r0 = Instant::now();
-                let record = {
-                    let _s = trace::span(TraceLevel::Stages, "engine", "stage_record");
-                    // Post-step loss: the record pairs this loss with the
-                    // weights it was computed with (and with val_errors).
-                    let train_loss = match &points {
-                        Some(ps) => self
-                            .model
-                            .batch_loss_from(self.net, ps.cloud(), &idx, &bidx),
-                        None => self.model.batch_loss(self.net, &idx, &bidx),
-                    };
-                    let val_errors = match validator {
-                        Some(v) => v.val_errors(self.net),
-                        None => Vec::new(),
-                    };
-                    Record {
-                        iteration: iter,
-                        seconds: train_clock,
-                        train_loss,
-                        val_errors,
-                    }
-                };
-                let rec_dt = r0.elapsed();
-                for h in hooks.iter_mut() {
-                    h.on_stage(iter, Stage::Record, rec_dt);
-                    h.on_record(&record);
-                }
-                if opts.synthetic_dt.is_none() {
-                    record_clock += rec_dt.as_secs_f64();
-                }
-                history.push(record);
-            }
-
-            if stop_after == Some(iter + 1) {
-                let (rng_state, rng_gauss_spare) = rng.state();
-                let (adam_t, adam_m, adam_v) = adam.state();
-                saved = Some(RunState {
-                    version: if points.is_some() { 2 } else { 1 },
-                    iteration: iter + 1,
-                    train_seconds: train_clock,
-                    record_seconds: record_clock,
-                    net: Checkpoint::capture(self.net),
-                    adam_t,
-                    adam_m: adam_m.to_vec(),
-                    adam_v: adam_v.to_vec(),
-                    rng_state,
-                    rng_gauss_spare,
-                    history: history.clone(),
-                    sampler_name: sampler.name().to_string(),
-                    sampler_state: sampler.save_state(),
-                    points: points.as_ref().map(|ps| PointsCheckpoint {
-                        dim: ps.dim(),
-                        epoch: ps.epoch(),
-                        coords: ps.coords().to_vec(),
-                    }),
-                });
-                break;
+            if ps.drain_changes(&mut self.changes) {
+                assert!(
+                    m.opts.batch_interior <= ps.len(),
+                    "adapt at iteration {iter} shrank the point set to {} points, \
+                     below batch_interior {}",
+                    ps.len(),
+                    m.opts.batch_interior
+                );
+                m.sampler.on_points_changed(ps, &self.changes);
+                self.points_changed = true;
             }
         }
-        Ok((
-            TrainResult {
-                history,
-                train_seconds: train_clock,
-                record_seconds: record_clock,
-                total_seconds: train_clock + record_clock,
-                sampler: sampler.name().to_string(),
+        let t2 = Instant::now();
+        {
+            let _s = trace::span(TraceLevel::Stages, "engine", "stage_draw");
+            m.sampler
+                .fill_batch(m.opts.batch_interior, &mut self.idx, &mut self.rng);
+            self.bidx.clear();
+            let n_boundary = m.model.num_boundary();
+            for _ in 0..self.bb {
+                self.bidx.push(self.rng.below(n_boundary));
+            }
+        }
+        let t3 = Instant::now();
+        {
+            let _s = trace::span(TraceLevel::Stages, "engine", "stage_gather");
+            match &self.points {
+                Some(ps) => m
+                    .model
+                    .gather_from(ps.cloud(), &self.idx, &self.bidx, &mut *self.ws),
+                None => m.model.gather(&self.idx, &self.bidx, &mut *self.ws),
+            }
+        }
+        self.prep = [t1 - t0, t2 - t1, t3 - t2, t3.elapsed()];
+    }
+
+    /// Reports the iteration to the hooks, advances the training clock
+    /// by `iter_dt` (the whole group iteration) and records at
+    /// recording points.
+    fn finish(
+        &mut self,
+        m: &mut Member<'_, '_>,
+        loss_grad: Duration,
+        step: Duration,
+        iter_dt: Duration,
+    ) {
+        let iter = self.iter;
+        let [refresh, adapt, draw, gather] = self.prep;
+        for h in m.hooks.iter_mut() {
+            h.on_stage(iter, Stage::Refresh, refresh);
+            h.on_stage(iter, Stage::Adapt, adapt);
+            h.on_stage(iter, Stage::Draw, draw);
+            h.on_stage(iter, Stage::Gather, gather);
+            h.on_stage(iter, Stage::LossGrad, loss_grad);
+            h.on_stage(iter, Stage::Step, step);
+            if self.points_changed {
+                let ps = self.points.as_ref().expect("changed set exists");
+                h.on_points(iter, ps.len(), &self.changes);
+            }
+            h.on_iteration(iter);
+        }
+        self.train_clock += m.opts.synthetic_dt.unwrap_or(iter_dt.as_secs_f64());
+        self.iter += 1;
+
+        if iter.is_multiple_of(m.opts.record_every) || iter + 1 == m.opts.iterations {
+            let r0 = Instant::now();
+            let record = {
+                let _s = trace::span(TraceLevel::Stages, "engine", "stage_record");
+                // Post-step loss: the record pairs this loss with the
+                // weights it was computed with (and with val_errors).
+                let train_loss = match &self.points {
+                    Some(ps) => m
+                        .model
+                        .batch_loss_from(m.net, ps.cloud(), &self.idx, &self.bidx),
+                    None => m.model.batch_loss(m.net, &self.idx, &self.bidx),
+                };
+                let val_errors = match m.validator {
+                    Some(v) => v.val_errors(m.net),
+                    None => Vec::new(),
+                };
+                Record {
+                    iteration: iter,
+                    seconds: self.train_clock,
+                    train_loss,
+                    val_errors,
+                }
+            };
+            let rec_dt = r0.elapsed();
+            for h in m.hooks.iter_mut() {
+                h.on_stage(iter, Stage::Record, rec_dt);
+                h.on_record(&record);
+            }
+            if m.opts.synthetic_dt.is_none() {
+                self.record_clock += rec_dt.as_secs_f64();
+            }
+            self.history.push(record);
+        }
+    }
+
+    /// The one capture path: the job's result, plus its full
+    /// [`RunState`] when `adam` (the executor's moments for this job)
+    /// is given.
+    fn into_segment(
+        self,
+        m: &Member<'_, '_>,
+        adam: Option<(usize, Vec<f64>, Vec<f64>)>,
+    ) -> Segment {
+        let state = adam.map(|(adam_t, adam_m, adam_v)| {
+            let (rng_state, rng_gauss_spare) = self.rng.state();
+            RunState {
+                version: if self.points.is_some() { 2 } else { 1 },
+                iteration: self.iter,
+                train_seconds: self.train_clock,
+                record_seconds: self.record_clock,
+                net: Checkpoint::capture(m.net),
+                adam_t,
+                adam_m,
+                adam_v,
+                rng_state,
+                rng_gauss_spare,
+                history: self.history.clone(),
+                sampler_name: m.sampler.name().to_string(),
+                sampler_state: m.sampler.save_state(),
+                points: self.points.as_ref().map(|ps| PointsCheckpoint {
+                    dim: ps.dim(),
+                    epoch: ps.epoch(),
+                    coords: ps.coords().to_vec(),
+                }),
+            }
+        });
+        Segment {
+            result: TrainResult {
+                history: self.history,
+                train_seconds: self.train_clock,
+                record_seconds: self.record_clock,
+                total_seconds: self.train_clock + self.record_clock,
+                sampler: m.sampler.name().to_string(),
             },
-            saved,
-        ))
+            state,
+        }
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::model::ModelWorkspace;
     use crate::sampler::UniformSampler;
@@ -824,10 +1026,10 @@ mod tests {
     /// Test sampler that appends `add` points every `tau` iterations
     /// (uniform coordinates from the engine RNG) and draws uniformly
     /// over the current set.
-    struct Densify {
-        n: usize,
-        tau: usize,
-        add: usize,
+    pub(crate) struct Densify {
+        pub(crate) n: usize,
+        pub(crate) tau: usize,
+        pub(crate) add: usize,
     }
 
     impl Sampler for Densify {

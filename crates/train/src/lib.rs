@@ -8,6 +8,11 @@
 //!   `refresh → adapt → draw → gather → loss/grad → step → record`
 //!   sequence (see [`Stage`]), instrumentable per stage through the
 //!   [`Hook`] trait.
+//! * **One run path** — [`Trainer`] runs and lockstep groups
+//!   ([`run_lockstep`], [`ParamSweep`]) share one per-job restore,
+//!   stage, record and capture path; only the loss/gradient and
+//!   optimiser stages differ, running solo for a group of one and
+//!   through the batched kernels for larger groups.
 //! * **Mutable collocation sets** — samplers that opt into
 //!   [`Sampler::adapts_points`] receive the engine-owned [`PointSet`]
 //!   every iteration and may move/add/drop collocation points; the

@@ -1,46 +1,50 @@
 //! Lockstep multi-model training through batched kernels.
 //!
 //! [`run_lockstep`] advances a group of same-architecture training jobs
-//! one shared iteration at a time: every job draws its own batch with
-//! its own RNG and sampler, but the network forward/backward and the
+//! one shared iteration at a time through the engine's one run path:
+//! every job restores, refreshes, adapts, draws, gathers, records and
+//! checkpoints exactly as a solo [`Trainer`](crate::Trainer) run does,
+//! but for a group of two or more the network forward/backward and the
 //! Adam update run once for the whole group through
 //! [`BatchedMlp`]/[`BatchedAdam`] — one register-tiled pass instead of
-//! `B` sequential ones. [`ParamSweep`] builds on it to train a whole
-//! parameter family (the paper's §4.2 annular-ring sweep) to completion.
+//! `B` sequential ones. A group of one runs solo. [`ParamSweep`] builds
+//! on it to train a whole parameter family (the paper's §4.2
+//! annular-ring sweep) to completion.
+//!
+//! The batched pass pays off only with full SIMD lanes and wide
+//! networks; with few lanes or narrow networks it is slower than `B`
+//! sequential solo runs (DESIGN.md §6f has the measurements).
 //!
 //! # Bit-identity contract
 //!
-//! Per job, every trained parameter, Adam moment, RNG draw, recorded
-//! loss and captured [`RunState`] is **bit-identical** to running that
-//! job alone through [`Trainer::run_segment`](crate::Trainer) on the
-//! same SIMD tier — the batched kernels evaluate the same per-element
-//! chains, and the per-job stage order (refresh → draw → gather →
-//! loss/grad → step → record) is preserved exactly. The only divergence
-//! is *measured* wall-clock accounting: a lockstep iteration charges the
-//! full group-iteration duration to every job. Under
-//! [`TrainOptions::synthetic_dt`] (what every determinism test uses) the
-//! clocks are bit-identical too.
+//! Per job, every trained parameter, Adam moment, RNG draw, point-set
+//! mutation, recorded loss and captured [`RunState`] is
+//! **bit-identical** to running that job alone through
+//! [`Trainer::run_segment`](crate::Trainer) on the same SIMD tier — the
+//! batched kernels evaluate the same per-element chains. The only
+//! divergence is *measured* wall-clock accounting: a lockstep iteration
+//! charges the full group-iteration duration to every job, and each
+//! job's hooks see the shared group pass as its `LossGrad` and `Step`
+//! times. Under [`TrainOptions::synthetic_dt`] (what every determinism
+//! test uses) the clocks are bit-identical too.
 //!
 //! # Constraints
 //!
 //! All jobs in one group must share: network architecture,
 //! `batch_interior`, effective boundary batch, `diff_dims`, Adam
 //! `beta1`/`beta2`/`eps`, and remaining step count. Learning rates,
-//! schedules, seeds, samplers, datasets and record cadences may differ
-//! per job. Point-adapting samplers are not supported (probes run, point
-//! mutation does not).
+//! schedules, seeds, samplers (point-adapting ones included), datasets
+//! and record cadences may differ per job.
 
-use crate::engine::{Segment, TrainOptions};
-use crate::model::{BatchedLossModel, LossModel, ModelWorkspace, Validator};
-use crate::result::{Record, TrainResult};
+use crate::engine::{boundary_batch, run_group, JobRun, Member, Segment, TrainOptions};
+use crate::hooks::Hook;
+use crate::model::{BatchedLossModel, Validator};
+use crate::result::TrainResult;
 use crate::runstate::RunState;
-use crate::sampler::{Probe, Sampler};
+use crate::sampler::Sampler;
 use sgm_linalg::dense::Matrix;
-use sgm_linalg::rng::Rng64;
-use sgm_nn::batched::{BatchedAdam, BatchedMlp, BatchedWorkspace};
-use sgm_nn::checkpoint::Checkpoint;
+use sgm_nn::batched::{BatchedAdam, BatchedGradients, BatchedMlp, BatchedWorkspace};
 use sgm_nn::mlp::{BatchDerivatives, Mlp};
-use std::time::Instant;
 
 /// One member of a lockstep group: a training job with an optional
 /// resume state and a stop boundary, exactly like a
@@ -51,12 +55,14 @@ pub struct MultiJob<'a> {
     pub net: &'a mut Mlp,
     /// The training objective.
     pub model: &'a dyn BatchedLossModel,
-    /// Batch sampler (must not adapt points).
+    /// Batch sampler.
     pub sampler: &'a mut dyn Sampler,
     /// Off-clock validation, recorded with each history entry.
     pub validator: Option<&'a dyn Validator>,
     /// Loop options (iteration count, batches, Adam, seed, cadence).
     pub opts: &'a TrainOptions,
+    /// Per-stage instrumentation of this job.
+    pub hooks: Vec<&'a mut dyn Hook>,
     /// Resume state from a previous segment, `None` for a fresh start.
     pub start: Option<&'a RunState>,
     /// Train up to and including iteration `stop_after - 1`, then
@@ -70,23 +76,6 @@ impl std::fmt::Debug for MultiJob<'_> {
             .field("stop_after", &self.stop_after)
             .finish_non_exhaustive()
     }
-}
-
-/// Per-job mutable loop state (mirrors the locals of the solo
-/// `run_core`).
-struct JobState {
-    start_iter: usize,
-    train_clock: f64,
-    record_clock: f64,
-    history: Vec<Record>,
-    rng: Rng64,
-    idx: Vec<usize>,
-    bidx: Vec<usize>,
-    derivs_i: BatchDerivatives,
-    adj_i: BatchDerivatives,
-    derivs_b: BatchDerivatives,
-    adj_b: BatchDerivatives,
-    expired: bool,
 }
 
 /// Advances every job in lockstep to its `stop_after` boundary (all
@@ -103,7 +92,7 @@ struct JobState {
 /// # Errors
 /// Returns a message when the group constraints are violated (mixed
 /// architectures, batch shapes, `diff_dims`, Adam betas, unequal step
-/// counts, an adaptive sampler, or a state mismatch).
+/// counts, or a state mismatch).
 ///
 /// # Panics
 /// Panics on zero/oversized interior batches (as the solo engine does).
@@ -111,298 +100,170 @@ pub fn run_lockstep(jobs: &mut [MultiJob<'_>]) -> Result<Vec<Segment>, String> {
     if jobs.is_empty() {
         return Ok(Vec::new());
     }
-    let cfg = jobs[0].net.config().clone();
-    let bi = jobs[0].opts.batch_interior;
-    let diff_dims = jobs[0].model.diff_dims();
-    let bb = effective_bb(&jobs[0]);
-    let adam0 = &jobs[0].opts.adam;
-    for (j, job) in jobs.iter().enumerate() {
-        assert!(
-            job.opts.batch_interior > 0,
-            "batch_interior must be positive"
-        );
-        assert!(
-            job.opts.batch_interior <= job.model.num_interior(),
-            "batch larger than dataset"
-        );
-        if job.net.config() != &cfg {
-            return Err(format!("job {j}: network architecture differs from job 0"));
-        }
-        if job.opts.batch_interior != bi {
-            return Err(format!("job {j}: batch_interior differs from job 0"));
-        }
-        if effective_bb(job) != bb {
-            return Err(format!(
-                "job {j}: effective boundary batch differs from job 0"
-            ));
-        }
-        if job.model.diff_dims() != diff_dims {
-            return Err(format!("job {j}: diff_dims differ from job 0"));
-        }
-        let a = &job.opts.adam;
-        if a.beta1 != adam0.beta1 || a.beta2 != adam0.beta2 || a.eps != adam0.eps {
-            return Err(format!("job {j}: Adam beta1/beta2/eps differ from job 0"));
-        }
-        if job.sampler.adapts_points() {
-            return Err(format!(
-                "job {j}: sampler {:?} adapts points, which lockstep execution \
-                 does not support",
-                job.sampler.name()
-            ));
-        }
-        if job.stop_after == 0 || job.stop_after > job.opts.iterations {
-            return Err(format!(
-                "job {j}: stop_after {} outside 1..={}",
-                job.stop_after, job.opts.iterations
-            ));
-        }
-    }
-
-    // Restore per-job state exactly as the solo engine does.
-    let mut states: Vec<JobState> = Vec::with_capacity(jobs.len());
-    let out_dim = cfg.output_dim;
-    let nd = diff_dims.len();
-    for (j, job) in jobs.iter_mut().enumerate() {
-        let mut st = JobState {
-            start_iter: 0,
-            train_clock: 0.0,
-            record_clock: 0.0,
-            history: Vec::new(),
-            rng: Rng64::new(job.opts.seed),
-            idx: Vec::with_capacity(bi),
-            bidx: Vec::with_capacity(bb),
-            derivs_i: BatchDerivatives::zeros(bi, out_dim, nd),
-            adj_i: BatchDerivatives::zeros(bi, out_dim, nd),
-            derivs_b: BatchDerivatives::zeros(bb, out_dim, 0),
-            adj_b: BatchDerivatives::zeros(bb, out_dim, 0),
-            expired: false,
-        };
-        if let Some(s) = job.start {
-            if s.sampler_name != job.sampler.name() {
-                return Err(format!(
-                    "job {j}: state saved with sampler {:?}, resuming with {:?}",
-                    s.sampler_name,
-                    job.sampler.name()
-                ));
-            }
-            if s.points.is_some() {
-                return Err(format!(
-                    "job {j}: state carries a mutated point set, which lockstep \
-                     execution does not support"
-                ));
-            }
-            let restored = s
-                .net
-                .restore()
-                .map_err(|e| format!("job {j}: net restore: {e}"))?;
-            if restored.num_params() != job.net.num_params() {
-                return Err(format!(
-                    "job {j}: state has {} parameters, network has {}",
-                    restored.num_params(),
-                    job.net.num_params()
-                ));
-            }
-            *job.net = restored;
-            st.rng = Rng64::from_state(s.rng_state, s.rng_gauss_spare);
-            job.sampler.load_state(&s.sampler_state)?;
-            st.history = s.history.clone();
-            st.train_clock = s.train_seconds;
-            st.record_clock = s.record_seconds;
-            st.start_iter = s.iteration;
-        }
-        if job.stop_after <= st.start_iter {
-            return Err(format!(
-                "job {j}: state is already at iteration {}, past stop_after {}",
-                st.start_iter, job.stop_after
-            ));
-        }
-        states.push(st);
-    }
-    let steps = jobs[0].stop_after - states[0].start_iter;
-    for (j, (job, st)) in jobs.iter().zip(&states).enumerate() {
-        if job.stop_after - st.start_iter != steps {
-            return Err(format!(
-                "job {j}: {} remaining steps, job 0 has {steps} — lockstep \
-                 requires equal remaining step counts",
-                job.stop_after - st.start_iter
-            ));
-        }
-    }
-
-    // Pack the group: interleaved network, optimiser, workspaces.
-    let mut packed = {
-        let refs: Vec<&Mlp> = jobs.iter().map(|job| &*job.net).collect();
-        BatchedMlp::pack(&refs)
-    };
-    let cfgs: Vec<_> = jobs.iter().map(|job| job.opts.adam.clone()).collect();
-    let mut badam = BatchedAdam::pack(&packed, &cfgs);
-    for (j, job) in jobs.iter().enumerate() {
-        if let Some(s) = job.start {
-            if s.adam_m.len() != job.net.num_params() {
-                return Err(format!(
-                    "job {j}: state has {} Adam moments, network has {} parameters",
-                    s.adam_m.len(),
-                    job.net.num_params()
-                ));
-            }
-            badam.restore_lane(j, s.adam_t, &s.adam_m, &s.adam_v);
-        }
-    }
-    let mut bws: BatchedWorkspace = packed.make_workspace(bi, nd);
-    let mut bws_b: Option<BatchedWorkspace> = (bb > 0).then(|| packed.make_workspace(bb, 0));
-    let mut bgrads = packed.zero_gradients();
-    let mut wss: Vec<Box<dyn ModelWorkspace>> = jobs
-        .iter()
-        .map(|job| job.model.make_workspace(job.net, bi, bb))
+    check_group(jobs)?;
+    let mut members: Vec<Member<'_, '_>> = jobs
+        .iter_mut()
+        .map(|job| Member {
+            net: &mut *job.net,
+            model: job.model,
+            batched: Some(job.model),
+            sampler: &mut *job.sampler,
+            validator: job.validator,
+            opts: job.opts,
+            hooks: &mut job.hooks,
+            start: job.start,
+            stop_after: Some(job.stop_after),
+        })
         .collect();
+    run_group(&mut members)
+}
 
-    // Completed lockstep steps (the early-stop boundary when a budget
-    // expires mid-group).
-    let mut done = 0usize;
-    for step in 0..steps {
-        if jobs.iter().zip(&mut states).any(|(job, st)| {
-            st.expired = job
-                .opts
-                .max_seconds
-                .is_some_and(|budget| st.train_clock >= budget);
-            st.expired
-        }) {
-            break;
-        }
-        let t0 = Instant::now();
-        // Refresh + draw + gather, per job in order (each on its own
-        // RNG, exactly the solo stage sequence).
-        for ((job, st), ws) in jobs.iter_mut().zip(&mut states).zip(&mut wss) {
-            let iter = st.start_iter + step;
-            {
-                let probe = Probe::with_points(job.net, job.model as &dyn LossModel, None);
-                job.sampler.refresh(iter, &probe, &mut st.rng);
+/// The lockstep group constraints, checked against job 0.
+fn check_group(jobs: &[MultiJob<'_>]) -> Result<(), String> {
+    let j0 = &jobs[0];
+    let remaining = |job: &MultiJob<'_>| {
+        job.stop_after
+            .saturating_sub(job.start.map_or(0, |s| s.iteration))
+    };
+    let bb = boundary_batch(j0.model, j0.opts);
+    let (adam0, steps) = (&j0.opts.adam, remaining(j0));
+    for (j, job) in jobs.iter().enumerate().skip(1) {
+        let a = &job.opts.adam;
+        let err = if job.net.config() != j0.net.config() {
+            "network architecture differs from job 0".to_string()
+        } else if job.opts.batch_interior != j0.opts.batch_interior {
+            "batch_interior differs from job 0".to_string()
+        } else if boundary_batch(job.model, job.opts) != bb {
+            "effective boundary batch differs from job 0".to_string()
+        } else if job.model.diff_dims() != j0.model.diff_dims() {
+            "diff_dims differ from job 0".to_string()
+        } else if a.beta1 != adam0.beta1 || a.beta2 != adam0.beta2 || a.eps != adam0.eps {
+            "Adam beta1/beta2/eps differ from job 0".to_string()
+        } else if remaining(job) != steps {
+            format!(
+                "{} remaining steps, job 0 has {steps} — lockstep requires equal \
+                 remaining step counts",
+                remaining(job)
+            )
+        } else {
+            continue;
+        };
+        return Err(format!("job {j}: {err}"));
+    }
+    Ok(())
+}
+
+/// The batched `LossGrad` + `Step` executor of a lockstep group: one
+/// interleaved forward/backward through [`BatchedMlp`] for all members
+/// (each member seeding its own adjoints through
+/// [`BatchedLossModel`]), then one [`BatchedAdam`] update written back
+/// into every member's network.
+pub(crate) struct BatchedExecutor {
+    packed: BatchedMlp,
+    adam: BatchedAdam,
+    grads: BatchedGradients,
+    diff_dims: Vec<usize>,
+    ws_i: BatchedWorkspace,
+    ws_b: Option<BatchedWorkspace>,
+    /// One member's deinterleaved derivatives and adjoints, reused
+    /// member by member.
+    derivs_i: BatchDerivatives,
+    adj_i: BatchDerivatives,
+    derivs_b: BatchDerivatives,
+    adj_b: BatchDerivatives,
+}
+
+fn batched<'m>(m: &Member<'m, '_>) -> &'m dyn BatchedLossModel {
+    m.batched.expect("lockstep members carry a batched model")
+}
+
+impl BatchedExecutor {
+    /// Packs the (restored) member networks and Adam states.
+    pub(crate) fn new(members: &[Member<'_, '_>]) -> Self {
+        let packed = {
+            let refs: Vec<&Mlp> = members.iter().map(|m| &*m.net).collect();
+            BatchedMlp::pack(&refs)
+        };
+        let cfgs: Vec<_> = members.iter().map(|m| m.opts.adam.clone()).collect();
+        let mut adam = BatchedAdam::pack(&packed, &cfgs);
+        for (j, m) in members.iter().enumerate() {
+            if let Some(s) = m.start {
+                adam.restore_lane(j, s.adam_t, &s.adam_m, &s.adam_v);
             }
-            job.sampler.fill_batch(bi, &mut st.idx, &mut st.rng);
-            st.bidx.clear();
-            let nb = job.model.num_boundary();
-            for _ in 0..bb {
-                st.bidx.push(st.rng.below(nb));
-            }
-            job.model.gather(&st.idx, &st.bidx, &mut **ws);
         }
-        // Interior loss/grad for the whole group in one batched pass.
+        let diff_dims = batched(&members[0]).diff_dims();
+        let (bi, nd) = (members[0].opts.batch_interior, diff_dims.len());
+        let bb = boundary_batch(members[0].model, members[0].opts);
+        let out = packed.config().output_dim;
+        BatchedExecutor {
+            grads: packed.zero_gradients(),
+            ws_i: packed.make_workspace(bi, nd),
+            ws_b: (bb > 0).then(|| packed.make_workspace(bb, 0)),
+            derivs_i: BatchDerivatives::zeros(bi, out, nd),
+            adj_i: BatchDerivatives::zeros(bi, out, nd),
+            derivs_b: BatchDerivatives::zeros(bb, out, 0),
+            adj_b: BatchDerivatives::zeros(bb, out, 0),
+            diff_dims,
+            packed,
+            adam,
+        }
+    }
+
+    /// Interior and boundary loss gradients of every member's gathered
+    /// batch, accumulated lane by lane into the shared gradients.
+    pub(crate) fn loss_grad(&mut self, members: &[Member<'_, '_>], runs: &mut [JobRun]) {
         {
-            let xs: Vec<&Matrix> = jobs
+            let xs: Vec<&Matrix> = members
                 .iter()
-                .zip(&wss)
-                .map(|(job, ws)| job.model.interior_input(&**ws))
+                .zip(runs.iter())
+                .map(|(m, run)| batched(m).interior_input(&*run.ws))
                 .collect();
-            packed.forward_with_derivs_batched(&xs, &diff_dims, &mut bws);
+            self.packed
+                .forward_with_derivs_batched(&xs, &self.diff_dims, &mut self.ws_i);
         }
-        for (j, ((job, st), ws)) in jobs.iter().zip(&mut states).zip(&mut wss).enumerate() {
-            bws.extract_derivs(j, &mut st.derivs_i);
-            job.model
-                .interior_adjoints(&mut **ws, &st.derivs_i, &mut st.adj_i);
-            bws.set_adjoints(j, &st.adj_i);
+        for (j, (m, run)) in members.iter().zip(runs.iter_mut()).enumerate() {
+            self.ws_i.extract_derivs(j, &mut self.derivs_i);
+            batched(m).interior_adjoints(&mut *run.ws, &self.derivs_i, &mut self.adj_i);
+            self.ws_i.set_adjoints(j, &self.adj_i);
         }
-        bgrads.zero();
-        packed.backward_batched(&mut bws, &mut bgrads);
+        self.grads.zero();
+        self.packed
+            .backward_batched(&mut self.ws_i, &mut self.grads);
         // Boundary term, sharing the same gradient accumulator.
-        if let Some(bwsb) = bws_b.as_mut() {
+        if let Some(ws_b) = self.ws_b.as_mut() {
             {
-                let xs: Vec<&Matrix> = jobs
+                let xs: Vec<&Matrix> = members
                     .iter()
-                    .zip(&wss)
-                    .map(|(job, ws)| {
-                        job.model
-                            .boundary_input(&**ws)
+                    .zip(runs.iter())
+                    .map(|(m, run)| {
+                        batched(m)
+                            .boundary_input(&*run.ws)
                             .expect("bb > 0 implies boundary input")
                     })
                     .collect();
-                packed.forward_with_derivs_batched(&xs, &[], bwsb);
+                self.packed.forward_with_derivs_batched(&xs, &[], ws_b);
             }
-            for (j, ((job, st), ws)) in jobs.iter().zip(&mut states).zip(&mut wss).enumerate() {
-                bwsb.extract_derivs(j, &mut st.derivs_b);
-                job.model
-                    .boundary_adjoints(&mut **ws, &st.derivs_b.values, &mut st.adj_b);
-                bwsb.set_adjoints(j, &st.adj_b);
+            for (j, (m, run)) in members.iter().zip(runs.iter_mut()).enumerate() {
+                ws_b.extract_derivs(j, &mut self.derivs_b);
+                batched(m).boundary_adjoints(&mut *run.ws, &self.derivs_b.values, &mut self.adj_b);
+                ws_b.set_adjoints(j, &self.adj_b);
             }
-            packed.backward_batched(bwsb, &mut bgrads);
+            self.packed.backward_batched(ws_b, &mut self.grads);
         }
-        badam.step(&mut packed, &bgrads);
-        // Write every lane back so probes/records see the stepped nets.
-        for (j, job) in jobs.iter_mut().enumerate() {
-            packed.extract_to(j, job.net);
-        }
-        let dt = t0.elapsed().as_secs_f64();
-        for (job, st) in jobs.iter_mut().zip(&mut states) {
-            st.train_clock += job.opts.synthetic_dt.unwrap_or(dt);
-            let iter = st.start_iter + step;
-            if iter % job.opts.record_every == 0 || iter + 1 == job.opts.iterations {
-                let r0 = Instant::now();
-                let train_loss = job.model.batch_loss(job.net, &st.idx, &st.bidx);
-                let val_errors = match job.validator {
-                    Some(v) => v.val_errors(job.net),
-                    None => Vec::new(),
-                };
-                let record = Record {
-                    iteration: iter,
-                    seconds: st.train_clock,
-                    train_loss,
-                    val_errors,
-                };
-                if job.opts.synthetic_dt.is_none() {
-                    st.record_clock += r0.elapsed().as_secs_f64();
-                }
-                st.history.push(record);
-            }
-        }
-        done = step + 1;
     }
 
-    // Capture per-job boundary states (None for budget-expired jobs,
-    // matching the solo engine).
-    let mut out = Vec::with_capacity(jobs.len());
-    for (j, (job, st)) in jobs.iter_mut().zip(&states).enumerate() {
-        let state = if st.expired {
-            None
-        } else {
-            let (rng_state, rng_gauss_spare) = st.rng.state();
-            let (adam_t, adam_m, adam_v) = badam.lane_state(j);
-            Some(RunState {
-                version: 1,
-                iteration: st.start_iter + done,
-                train_seconds: st.train_clock,
-                record_seconds: st.record_clock,
-                net: Checkpoint::capture(job.net),
-                adam_t,
-                adam_m,
-                adam_v,
-                rng_state,
-                rng_gauss_spare,
-                history: st.history.clone(),
-                sampler_name: job.sampler.name().to_string(),
-                sampler_state: job.sampler.save_state(),
-                points: None,
-            })
-        };
-        out.push(Segment {
-            result: TrainResult {
-                history: st.history.clone(),
-                train_seconds: st.train_clock,
-                record_seconds: st.record_clock,
-                total_seconds: st.train_clock + st.record_clock,
-                sampler: job.sampler.name().to_string(),
-            },
-            state,
-        });
+    /// One Adam update for the group, written back into every member's
+    /// network so probes and records see the stepped weights.
+    pub(crate) fn step(&mut self, members: &mut [Member<'_, '_>]) {
+        self.adam.step(&mut self.packed, &self.grads);
+        for (j, m) in members.iter_mut().enumerate() {
+            self.packed.extract_to(j, m.net);
+        }
     }
-    Ok(out)
-}
 
-/// Effective boundary batch for a job (the solo engine's clamp).
-fn effective_bb(job: &MultiJob<'_>) -> usize {
-    let nb = job.model.num_boundary();
-    if nb > 0 {
-        job.opts.batch_boundary.min(nb)
-    } else {
-        0
+    /// Member `j`'s Adam step count and moments.
+    pub(crate) fn adam_state(&self, j: usize) -> (usize, Vec<f64>, Vec<f64>) {
+        self.adam.lane_state(j)
     }
 }
 
@@ -413,7 +274,7 @@ pub struct SweepJob<'a> {
     pub net: &'a mut Mlp,
     /// The training objective (one parameter instance of the family).
     pub model: &'a dyn BatchedLossModel,
-    /// Batch sampler (must not adapt points).
+    /// Batch sampler.
     pub sampler: &'a mut dyn Sampler,
     /// Off-clock validation.
     pub validator: Option<&'a dyn Validator>,
@@ -427,7 +288,7 @@ impl std::fmt::Debug for SweepJob<'_> {
     }
 }
 
-/// Trains a same-architecture parameter family as one batched group
+/// Trains a same-architecture parameter family as one lockstep group
 /// instead of sequential solo runs — the batched path for the paper's
 /// §4.2 annular-ring parameter sweep.
 #[derive(Debug)]
@@ -435,11 +296,11 @@ pub struct ParamSweep;
 
 impl ParamSweep {
     /// Runs every job to completion (its own `iterations` /
-    /// `max_seconds`), stepping the whole family through the batched
-    /// kernels in lockstep segments. Jobs with differing iteration
-    /// counts or expiring budgets are regrouped at segment boundaries;
-    /// each job's outcome is bit-identical to a solo
-    /// [`Trainer::run`](crate::Trainer) under `synthetic_dt`.
+    /// `max_seconds`), stepping the whole family in lockstep segments.
+    /// Jobs with differing iteration counts or expiring budgets are
+    /// regrouped at segment boundaries; each job's outcome is
+    /// bit-identical to a solo [`Trainer::run`](crate::Trainer) under
+    /// `synthetic_dt`.
     ///
     /// # Errors
     /// Propagates [`run_lockstep`] constraint violations.
@@ -472,6 +333,7 @@ impl ParamSweep {
                     sampler: &mut *job.sampler,
                     validator: job.validator,
                     opts: job.opts,
+                    hooks: Vec::new(),
                     start: states[j].as_ref(),
                     stop_after: cur + steps,
                 });
@@ -502,8 +364,13 @@ impl ParamSweep {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::tests::Densify;
     use crate::engine::Trainer;
+    use crate::hooks::{Stage, StageTimes};
+    use crate::model::{LossModel, ModelWorkspace};
     use crate::sampler::UniformSampler;
+    use sgm_graph::points::PointCloud;
+    use sgm_linalg::rng::Rng64;
     use sgm_nn::activation::Activation;
     use sgm_nn::mlp::{Gradients, MlpConfig, MlpWorkspace};
     use sgm_nn::optimizer::{AdamConfig, LrSchedule};
@@ -571,6 +438,28 @@ mod tests {
             loss
         }
 
+        /// Loss of the batch gathered into `ws`: the gradient path's
+        /// arithmetic on throwaway buffers.
+        fn gathered_loss(&self, net: &Mlp, ws: &mut dyn ModelWorkspace) -> f64 {
+            let ws: &mut DerivRegWs = ws.as_any_mut().downcast_mut().unwrap();
+            net.forward_with_derivs_ws(&ws.xi, &[0], &mut ws.nni);
+            let mut total = self.seed_interior(&ws.yi, ws.nni.derivs(), &mut ws.adj_i);
+            if ws.bb > 0 {
+                net.forward_with_derivs_ws(&ws.xb, &[], &mut ws.nnb);
+                let DerivRegWs { nnb, adj_b, .. } = &mut *ws;
+                total += self.seed_boundary(&nnb.derivs().values, adj_b);
+            }
+            total
+        }
+
+        fn gather_boundary(&self, boundary_idx: &[usize], ws: &mut DerivRegWs) {
+            if ws.bb > 0 {
+                for (r, &i) in boundary_idx.iter().enumerate() {
+                    ws.xb.set(r, 0, self.bx.get(i, 0));
+                }
+            }
+        }
+
         fn seed_boundary(&self, vals: &Matrix, adj: &mut BatchDerivatives) -> f64 {
             let b = vals.rows();
             let inv = 1.0 / b as f64;
@@ -620,11 +509,7 @@ mod tests {
                 ws.xi.set(r, 0, self.x.get(i, 0));
                 ws.yi[r] = self.y[i];
             }
-            if ws.bb > 0 {
-                for (r, &i) in boundary_idx.iter().enumerate() {
-                    ws.xb.set(r, 0, self.bx.get(i, 0));
-                }
-            }
+            self.gather_boundary(boundary_idx, ws);
         }
         fn loss_and_grad(
             &self,
@@ -650,19 +535,9 @@ mod tests {
             total
         }
         fn batch_loss(&self, net: &Mlp, interior_idx: &[usize], boundary_idx: &[usize]) -> f64 {
-            // Reuse the gradient path's arithmetic on throwaway buffers
-            // so record losses agree between solo and lockstep runs.
             let mut ws = self.make_workspace(net, interior_idx.len(), boundary_idx.len());
             self.gather(interior_idx, boundary_idx, &mut *ws);
-            let ws: &mut DerivRegWs = ws.as_any_mut().downcast_mut().unwrap();
-            net.forward_with_derivs_ws(&ws.xi, &[0], &mut ws.nni);
-            let mut total = self.seed_interior(&ws.yi, ws.nni.derivs(), &mut ws.adj_i);
-            if ws.bb > 0 {
-                net.forward_with_derivs_ws(&ws.xb, &[], &mut ws.nnb);
-                let DerivRegWs { nnb, adj_b, .. } = &mut *ws;
-                total += self.seed_boundary(&nnb.derivs().values, adj_b);
-            }
-            total
+            self.gathered_loss(net, &mut *ws)
         }
         fn sample_losses(&self, net: &Mlp, idx: &[usize]) -> Vec<f64> {
             idx.iter()
@@ -682,6 +557,41 @@ mod tests {
                 m.set(r, 0, self.x.get(i, 0));
             }
             m
+        }
+        fn interior_cloud(&self) -> Option<PointCloud> {
+            Some(PointCloud::from_flat(1, self.x.as_slice().to_vec()))
+        }
+        fn gather_from(
+            &self,
+            points: &PointCloud,
+            interior_idx: &[usize],
+            boundary_idx: &[usize],
+            ws: &mut dyn ModelWorkspace,
+        ) {
+            let ws: &mut DerivRegWs = ws.as_any_mut().downcast_mut().unwrap();
+            for (r, &i) in interior_idx.iter().enumerate() {
+                let x = points.point(i)[0];
+                ws.xi.set(r, 0, x);
+                ws.yi[r] = (2.0 * x).sin();
+            }
+            self.gather_boundary(boundary_idx, ws);
+        }
+        fn batch_loss_from(
+            &self,
+            net: &Mlp,
+            points: &PointCloud,
+            interior_idx: &[usize],
+            boundary_idx: &[usize],
+        ) -> f64 {
+            let mut ws = self.make_workspace(net, interior_idx.len(), boundary_idx.len());
+            self.gather_from(points, interior_idx, boundary_idx, &mut *ws);
+            self.gathered_loss(net, &mut *ws)
+        }
+        fn losses_at(&self, net: &Mlp, coords: &Matrix) -> Vec<f64> {
+            let o = net.forward(coords);
+            (0..coords.rows())
+                .map(|r| (o.get(r, 0) - (2.0 * coords.get(r, 0)).sin()).powi(2))
+                .collect()
         }
     }
 
@@ -865,6 +775,7 @@ mod tests {
                     sampler,
                     validator: None,
                     opts,
+                    hooks: Vec::new(),
                     start: start.as_ref(),
                     stop_after: stop,
                 })
@@ -1006,6 +917,7 @@ mod tests {
                 sampler: &mut s1,
                 validator: None,
                 opts: &o1,
+                hooks: Vec::new(),
                 start: None,
                 stop_after: 10,
             },
@@ -1015,6 +927,7 @@ mod tests {
                 sampler: &mut s2,
                 validator: None,
                 opts: &o2,
+                hooks: Vec::new(),
                 start: None,
                 stop_after: 10,
             },
@@ -1026,5 +939,149 @@ mod tests {
         jobs[1].stop_after = 7;
         let err = run_lockstep(&mut jobs).unwrap_err();
         assert!(err.contains("equal remaining step"), "{err}");
+    }
+
+    /// A group of two where one member adapts its point set (growth
+    /// before and after the checkpoint), run in two segments with a
+    /// JSON round trip between them, matches both solo runs bit for
+    /// bit — the mutated points travel through the shared capture and
+    /// restore path.
+    #[test]
+    fn lockstep_adaptive_member_resumes_bitwise() {
+        let models: Vec<DerivReg> = (0..2).map(|i| DerivReg::new(64 + i, 48, 12)).collect();
+        let optses = [mk_opts(50, 1e-2, 13), mk_opts(50, 3e-3, 14)];
+        let mk_samplers = || -> Vec<Box<dyn Sampler>> {
+            vec![
+                Box::new(Densify {
+                    n: models[0].num_interior(),
+                    tau: 7,
+                    add: 3,
+                }),
+                Box::new(UniformSampler::new(models[1].num_interior())),
+            ]
+        };
+        let solo: Vec<(Mlp, TrainResult)> = mk_samplers()
+            .into_iter()
+            .enumerate()
+            .map(|(i, mut sampler)| {
+                let mut net = mk_net(60 + i as u64);
+                let result = Trainer {
+                    net: &mut net,
+                    model: &models[i],
+                }
+                .run(sampler.as_mut(), None, &optses[i]);
+                (net, result)
+            })
+            .collect();
+
+        let mut nets: Vec<Mlp> = (0..2).map(|i| mk_net(60 + i as u64)).collect();
+        let mut states: Vec<Option<RunState>> = vec![None, None];
+        for stop in [23usize, 50] {
+            let mut samplers = mk_samplers();
+            let mut jobs: Vec<MultiJob<'_>> = nets
+                .iter_mut()
+                .zip(&models)
+                .zip(&mut samplers)
+                .zip(&optses)
+                .zip(&states)
+                .map(|((((net, model), sampler), opts), start)| MultiJob {
+                    net,
+                    model,
+                    sampler: sampler.as_mut(),
+                    validator: None,
+                    opts,
+                    hooks: Vec::new(),
+                    start: start.as_ref(),
+                    stop_after: stop,
+                })
+                .collect();
+            let segs = run_lockstep(&mut jobs).unwrap();
+            drop(jobs);
+            for (i, seg) in segs.into_iter().enumerate() {
+                let st = seg.state.expect("boundary state");
+                assert_eq!(st.points.is_some(), i == 0, "job {i}: point set");
+                states[i] = Some(RunState::from_json(&st.to_json().unwrap()).unwrap());
+                if stop == 50 {
+                    assert_same_run(
+                        &solo[i].1,
+                        &seg.result,
+                        &solo[i].0,
+                        &nets[i],
+                        &format!("job {i}"),
+                    );
+                }
+            }
+        }
+        let grown = states[0].as_ref().unwrap().points.as_ref().unwrap();
+        assert_eq!(
+            grown.coords.len(),
+            48 + 3 * 7,
+            "adapt fired at 7, 14, …, 49"
+        );
+    }
+
+    /// Every member's hooks see every training stage on every iteration
+    /// and one `Record` stage per history record.
+    #[test]
+    fn lockstep_hooks_see_every_stage() {
+        let models: Vec<DerivReg> = (0..2).map(|i| DerivReg::new(66 + i, 48, 12)).collect();
+        let optses = [mk_opts(30, 1e-2, 15), mk_opts(30, 1e-2, 16)];
+        let mut nets: Vec<Mlp> = (0..2).map(|i| mk_net(62 + i as u64)).collect();
+        let mut samplers: Vec<UniformSampler> = models
+            .iter()
+            .map(|m| UniformSampler::new(m.num_interior()))
+            .collect();
+        let mut times = [StageTimes::new(), StageTimes::new()];
+        let mut jobs: Vec<MultiJob<'_>> = nets
+            .iter_mut()
+            .zip(&models)
+            .zip(&mut samplers)
+            .zip(&optses)
+            .zip(&mut times)
+            .map(|((((net, model), sampler), opts), times)| MultiJob {
+                net,
+                model,
+                sampler,
+                validator: None,
+                opts,
+                hooks: vec![times],
+                start: None,
+                stop_after: 30,
+            })
+            .collect();
+        let segs = run_lockstep(&mut jobs).unwrap();
+        drop(jobs);
+        for (i, (t, seg)) in times.iter().zip(&segs).enumerate() {
+            assert_eq!(t.iterations(), 30, "job {i}");
+            for s in &Stage::ALL[..Stage::Record.index()] {
+                assert_eq!(t.count(*s), 30, "job {i}: stage {}", s.name());
+            }
+            let records = seg.result.history.len() as u64;
+            assert_eq!(t.count(Stage::Record), records, "job {i}");
+        }
+    }
+
+    /// A lockstep group of one runs the solo executor and matches
+    /// `Trainer::run` bit for bit.
+    #[test]
+    fn group_of_one_matches_trainer_run() {
+        let model = DerivReg::new(68, 48, 12);
+        let opts = mk_opts(40, 1e-2, 17);
+        let (solo_net, solo) = solo_run(&model, 64, &opts);
+        let mut net = mk_net(64);
+        let mut sampler = UniformSampler::new(model.num_interior());
+        let mut jobs = [MultiJob {
+            net: &mut net,
+            model: &model,
+            sampler: &mut sampler,
+            validator: None,
+            opts: &opts,
+            hooks: Vec::new(),
+            start: None,
+            stop_after: 40,
+        }];
+        let seg = run_lockstep(&mut jobs).unwrap().pop().unwrap();
+        assert_same_run(&solo, &seg.result, &solo_net, &net, "group of one");
+        assert_eq!(seg.state.unwrap().iteration, 40);
     }
 }

@@ -12,9 +12,11 @@
 //!
 //! A second stage then trains one *specialist* network per validation
 //! radius — the same architecture at B fixed parameter values — as a
-//! single [`ParamSweep`] batch: all instances advance in lockstep
-//! through the interleaved `BatchedMlp` kernels instead of B
-//! sequential solo runs, each bit-identical to the run it replaces.
+//! single [`ParamSweep`] group: all instances advance in lockstep
+//! through the interleaved `BatchedMlp` kernels, each bit-identical to
+//! the solo run it replaces. It shows the API, not a speedup: at B=3
+//! and width 40 the batched pass is slower than B sequential solo runs
+//! (it pays off at full lanes and larger widths, DESIGN.md §6f).
 
 use sgm_cfd::ring::{ring_validation_sets, PAPER_VALIDATION_RADII};
 use sgm_core::{SgmConfig, SgmSampler};
@@ -135,10 +137,10 @@ fn main() {
     // ---- Stage 2: per-radius specialists as one batched sweep ----
     // One network per validation radius, trained through the ParamSweep
     // lockstep runner: every Adam step runs all instances at once
-    // through the interleaved BatchedMlp kernels. Lockstep execution
-    // requires a non-adapting sampler (point sets must stay fixed), so
-    // the specialists draw uniform batches — the SGM-S run above keeps
-    // the adaptive-sampling story.
+    // through the interleaved BatchedMlp kernels (at this B and width,
+    // slower than sequential solo runs). The specialists draw uniform
+    // batches; any sampler, point-adapting ones included, could run in
+    // the group — the SGM-S run above keeps the adaptive-sampling story.
     let radii = PAPER_VALIDATION_RADII;
     println!(
         "\ntraining {} per-radius specialists as one batched ParamSweep (10s)...",

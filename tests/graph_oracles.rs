@@ -1,6 +1,6 @@
-//! Oracle tests for the graph substrate: approximate algorithms (grid /
-//! HNSW kNN, smoothed-projection effective resistance, LRD) checked
-//! against their exact counterparts on randomised inputs.
+//! Oracle tests for the graph substrate: accelerated and approximate
+//! algorithms (grid kNN, smoothed-projection effective resistance, LRD)
+//! checked against their exact counterparts on randomised inputs.
 
 use sgm_graph::graph::Graph;
 use sgm_graph::knn::{brute_knn, build_knn_graph, grid_knn, recall, KnnConfig, KnnStrategy};

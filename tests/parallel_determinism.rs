@@ -222,13 +222,13 @@ fn batched_mlp_bit_identical_across_thread_counts_and_solo() {
     }
 }
 
-/// Brute and HNSW kNN graphs (edges, weights) and the approximate
+/// Brute and grid kNN graphs (edges, weights) and the approximate
 /// effective resistances are bit-identical for every thread count.
 #[test]
 fn knn_graph_and_er_bit_identical_across_thread_counts() {
     let mut rng = Rng64::new(902);
     let pts = PointCloud::uniform_box(600, 2, 0.0, 1.0, &mut rng);
-    for strategy in [KnnStrategy::Brute, KnnStrategy::Hnsw] {
+    for strategy in [KnnStrategy::Brute, KnnStrategy::Grid] {
         for &tier in simd::available_tiers() {
             let runs = simd::with_tier(tier, || {
                 run_per_thread_count(|| {
