@@ -6,11 +6,8 @@
 //! keeps a persistent engine whose cost scales with the points that
 //! *changed*, not with `N`:
 //!
-//! 1. **Moved set `M`** — points whose displacement from their stored
-//!    reference position exceeds `displacement_bound` (squared compare;
-//!    bound `0.0` means "any storage-visible change"). Displacement is
-//!    measured against the *reference* coordinates, so sub-bound drift
-//!    accumulates and eventually trips the bound — error stays bounded.
+//! 1. **Moved set `M`** — points whose coordinates differ from the
+//!    stored reference cloud (`dist² > 0`).
 //! 2. **Dirty set `D ⊇ M`** — `M`, plus every reverse neighbour of `M`
 //!    (a departing point can vacate a slot in its referrers' lists),
 //!    plus every clean point `i` with `dist²(i, j_new) ≤ τ²_i` for some
@@ -23,24 +20,23 @@
 //!    chunk-ordered, pure reads), then adjacency rows, reverse lists
 //!    and `τ²` are patched serially in ascending point order.
 //!
-//! **Exactness (bound = 0):** a clean point's list can only change if a
-//! mover departed it (case 2a) or arrived within `τ_i` (case 2b) —
-//! both place it in `D`. Re-queries call the *same* `GridIndex::knn_into`
-//! routine a full build uses against the same stored coordinates, and
-//! the distance kernel is bitwise symmetric, so the patched adjacency is
-//! **bit-identical** to a from-scratch rebuild, independent of thread
-//! count. With `bound > 0` (or f32 storage rounding), divergence is
-//! bounded by the permitted stale displacement.
+//! **Exactness:** a clean point's list can only change if a mover
+//! departed it (case 2a) or arrived within `τ_i` (case 2b) — both place
+//! it in `D`. Re-queries run the *same* `GridIndex::query_rows` loop a
+//! full build runs against the same stored coordinates, and the distance
+//! kernel is bitwise symmetric, so the patched adjacency is
+//! **bit-identical** to a from-scratch rebuild (and to
+//! [`crate::knn::brute_knn`]), independent of thread count.
 //!
 //! Storage is SoA: one flat `u32` neighbour array, one flat `f64`
 //! distance array, per-point counts and `τ²` — no per-point `Vec`s on
 //! the steady-state path.
 
 use crate::graph::Graph;
-use crate::knn::grid::{GridIndex, GridScratch};
-use crate::points::{Coords, PointCloud};
+use crate::knn::grid::{GridIndex, GridScratch, KnnRows};
+use crate::knn::KNN_PAR_WORK;
+use crate::points::PointCloud;
 use sgm_obs::{Counter, Histogram};
-use std::cell::RefCell;
 
 /// Wall time of each delta patch (`update`), nanoseconds.
 static KNN_PATCH_NS: Histogram = Histogram::new("sgm_graph_knn_patch_ns");
@@ -58,13 +54,6 @@ pub struct IncrementalKnnConfig {
     pub k: usize,
     /// Edge-weight epsilon: `w = 1 / (dist + eps)`.
     pub weight_eps: f64,
-    /// Compact f32 coordinate storage (f64 accumulation). Defaults off;
-    /// `SGM_DIST_F32` flips the default in the engines that read it.
-    pub f32_storage: bool,
-    /// Displacement (not squared) below which a point keeps its stale
-    /// reference position. `0.0` = exact mode: any storage-visible
-    /// movement marks the point moved.
-    pub displacement_bound: f64,
 }
 
 impl Default for IncrementalKnnConfig {
@@ -72,8 +61,6 @@ impl Default for IncrementalKnnConfig {
         IncrementalKnnConfig {
             k: 8,
             weight_eps: 1e-9,
-            f32_storage: crate::points::dist_f32_from_env(),
-            displacement_bound: 0.0,
         }
     }
 }
@@ -81,7 +68,7 @@ impl Default for IncrementalKnnConfig {
 /// Statistics from one [`IncrementalKnn::update`].
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct KnnDelta {
-    /// Points whose displacement exceeded the bound.
+    /// Points whose coordinates changed.
     pub moved: usize,
     /// Points re-queried (the dirty set `D ⊇ M`).
     pub rescored: usize,
@@ -89,20 +76,12 @@ pub struct KnnDelta {
     pub edges_patched: usize,
 }
 
-/// Work-size threshold above which queries fan out to the pool
-/// (matches `knn::KNN_PAR_WORK`'s spirit: ~distance evaluations).
-const PAR_WORK: usize = 1 << 18;
-
-thread_local! {
-    static QUERY_SCRATCH: RefCell<(GridScratch, Vec<u32>, Vec<f64>)> =
-        RefCell::new((GridScratch::default(), Vec::new(), Vec::new()));
-}
-
 /// A persistent, incrementally-maintained exact kNN structure.
 #[derive(Debug)]
 pub struct IncrementalKnn {
     cfg: IncrementalKnnConfig,
-    coords: Coords,
+    /// The reference cloud the adjacency reflects.
+    reference: PointCloud,
     grid: GridIndex,
     /// Flat `n × k` neighbour ids; row `i` valid for `cnt[i]` slots.
     nbrs: Vec<u32>,
@@ -130,13 +109,13 @@ impl IncrementalKnn {
     pub fn build(cloud: &PointCloud, cfg: &IncrementalKnnConfig) -> Self {
         assert!(!cloud.is_empty(), "empty cloud");
         assert!(cfg.k > 0, "k must be positive");
-        let coords = Coords::from_cloud(cloud, cfg.f32_storage);
-        let grid = GridIndex::build(&coords);
-        let n = coords.len();
+        let reference = cloud.clone();
+        let grid = GridIndex::build(&reference);
+        let n = reference.len();
         let k = cfg.k;
         let mut engine = IncrementalKnn {
             cfg: cfg.clone(),
-            coords,
+            reference,
             grid,
             nbrs: vec![u32::MAX; n * k],
             d2s: vec![f64::INFINITY; n * k],
@@ -147,7 +126,7 @@ impl IncrementalKnn {
             dirty_flags: vec![false; n],
         };
         let all: Vec<u32> = (0..n as u32).collect();
-        let rows = engine.query_points(&all);
+        let rows = engine.grid.query_rows(&engine.reference, &all, k);
         engine.install_rows(&all, &rows);
         // Reverse adjacency from scratch (ascending i keeps rev[j]
         // ascending too — pure determinism hygiene).
@@ -168,14 +147,17 @@ impl IncrementalKnn {
     /// build cloud (resizing is a full rebuild, by design).
     pub fn update(&mut self, cloud: &PointCloud) -> KnnDelta {
         assert_eq!(cloud.len(), self.len(), "point count changed: rebuild");
-        assert_eq!(cloud.dim(), self.coords.dim(), "dimension changed: rebuild");
+        assert_eq!(
+            cloud.dim(),
+            self.reference.dim(),
+            "dimension changed: rebuild"
+        );
         let t0 = std::time::Instant::now();
         let n = self.len();
         let k = self.cfg.k;
-        let bound2 = self.cfg.displacement_bound * self.cfg.displacement_bound;
 
         // 1. Moved set: parallel chunk-ordered displacement scan.
-        let moved = self.detect_moved(cloud, bound2);
+        let moved = self.detect_moved(cloud);
         self.last_dirty.clear();
         if moved.is_empty() {
             KNN_PATCH_NS.record_duration(t0.elapsed());
@@ -183,12 +165,13 @@ impl IncrementalKnn {
             return KnnDelta::default();
         }
         for &j in &moved {
-            self.coords.set(j as usize, cloud.point(j as usize));
+            self.reference
+                .set_point(j as usize, cloud.point(j as usize));
         }
         // Grid rebuild is O(N) counting-sort bandwidth — cheap next to
         // even a few hundred re-queries, and it keeps every re-query
         // exact against the *current* positions.
-        self.grid = GridIndex::build(&self.coords);
+        self.grid = GridIndex::build(&self.reference);
 
         // 2. Dirty set: movers ∪ reverse neighbours ∪ τ-radius capture.
         self.dirty_flags.fill(false);
@@ -205,13 +188,18 @@ impl IncrementalKnn {
         for &j in &moved {
             let flags = &mut self.dirty_flags;
             let tau2 = &self.tau2;
-            self.grid
-                .for_each_within(&self.coords, j as usize, tau_max2, &mut scratch, |i, d2| {
+            self.grid.for_each_within(
+                &self.reference,
+                j as usize,
+                tau_max2,
+                &mut scratch,
+                |i, d2| {
                     let i = i as usize;
                     if !flags[i] && d2 <= tau2[i] {
                         flags[i] = true;
                     }
-                });
+                },
+            );
         }
         let dirty: Vec<u32> = (0..n as u32)
             .filter(|&i| self.dirty_flags[i as usize])
@@ -219,7 +207,7 @@ impl IncrementalKnn {
 
         // 3. Re-query dirty points (parallel, pure reads), then patch
         //    adjacency + reverse lists serially in ascending order.
-        let rows = self.query_points(&dirty);
+        let rows = self.grid.query_rows(&self.reference, &dirty, k);
         let mut edges_patched = 0usize;
         let mut old_row: Vec<u32> = Vec::with_capacity(k);
         for (r, &i) in dirty.iter().enumerate() {
@@ -257,18 +245,18 @@ impl IncrementalKnn {
         delta
     }
 
-    /// Parallel chunk-ordered scan for points whose displacement from
-    /// the stored reference exceeds `bound2` (ascending result).
-    fn detect_moved(&self, cloud: &PointCloud, bound2: f64) -> Vec<u32> {
+    /// Parallel chunk-ordered scan for points that moved away from the
+    /// stored reference (ascending result).
+    fn detect_moved(&self, cloud: &PointCloud) -> Vec<u32> {
         let n = self.len();
         let scan = |range: std::ops::Range<usize>| -> Vec<u32> {
             range
-                .filter(|&i| self.coords.displacement2(i, cloud.point(i)) > bound2)
+                .filter(|&i| crate::points::dist2(self.reference.point(i), cloud.point(i)) > 0.0)
                 .map(|i| i as u32)
                 .collect()
         };
-        let work = n.saturating_mul(self.coords.dim().max(1));
-        match sgm_par::current().pool(work, PAR_WORK) {
+        let work = n.saturating_mul(self.reference.dim().max(1));
+        match sgm_par::current().pool(work, KNN_PAR_WORK) {
             Some(pool) => {
                 let chunk = sgm_par::chunk_len(n, 1024);
                 let num_chunks = n.div_ceil(chunk);
@@ -280,41 +268,8 @@ impl IncrementalKnn {
         }
     }
 
-    /// Queries `points` against the current grid + coords, returning
-    /// packed rows. Chunk-ordered parallel: results are identical for
-    /// every thread count.
-    fn query_points(&self, points: &[u32]) -> QueryRows {
-        let k = self.cfg.k;
-        let m = points.len();
-        let query_chunk = |range: std::ops::Range<usize>| -> QueryRows {
-            QUERY_SCRATCH.with(|cell| {
-                let (scratch, idx, d2) = &mut *cell.borrow_mut();
-                let mut rows = QueryRows::with_capacity(range.len(), k);
-                for &p in &points[range] {
-                    let got = self
-                        .grid
-                        .knn_into(&self.coords, p as usize, k, scratch, idx, d2);
-                    rows.push(idx, d2, got, k);
-                }
-                rows
-            })
-        };
-        let work = m.saturating_mul(self.cfg.k * 64);
-        match sgm_par::current().pool(work, PAR_WORK) {
-            Some(pool) => {
-                let chunk = sgm_par::chunk_len(m, 8);
-                let num_chunks = m.div_ceil(chunk);
-                let parts = pool.par_map_indexed(num_chunks, 1, |c| {
-                    query_chunk(c * chunk..((c + 1) * chunk).min(m))
-                });
-                QueryRows::concat(parts, k)
-            }
-            None => query_chunk(0..m),
-        }
-    }
-
     /// Writes query rows into the SoA arrays and refreshes `τ²`.
-    fn install_rows(&mut self, points: &[u32], rows: &QueryRows) {
+    fn install_rows(&mut self, points: &[u32], rows: &KnnRows) {
         let k = self.cfg.k;
         for (r, &i) in points.iter().enumerate() {
             let i = i as usize;
@@ -351,14 +306,14 @@ impl IncrementalKnn {
         &self.cfg
     }
 
-    /// The reference coordinates the adjacency currently reflects.
-    pub fn coords(&self) -> &Coords {
-        &self.coords
+    /// The reference cloud the adjacency currently reflects.
+    pub fn reference(&self) -> &PointCloud {
+        &self.reference
     }
 
     /// True when `cloud` has the shape this engine was built for.
     pub fn is_compatible(&self, cloud: &PointCloud) -> bool {
-        cloud.len() == self.len() && cloud.dim() == self.coords.dim()
+        cloud.len() == self.len() && cloud.dim() == self.reference.dim()
     }
 
     /// Neighbour ids and squared distances of point `i`, ascending by
@@ -404,50 +359,6 @@ impl IncrementalKnn {
     }
 }
 
-/// Packed query results: one `(ids, d2s, cnt)` row per queried point.
-#[derive(Debug, Default)]
-struct QueryRows {
-    idx: Vec<u32>,
-    d2: Vec<f64>,
-    cnt: Vec<u32>,
-}
-
-impl QueryRows {
-    fn with_capacity(rows: usize, k: usize) -> Self {
-        QueryRows {
-            idx: Vec::with_capacity(rows * k),
-            d2: Vec::with_capacity(rows * k),
-            cnt: Vec::with_capacity(rows),
-        }
-    }
-
-    fn push(&mut self, idx: &[u32], d2: &[f64], got: usize, k: usize) {
-        debug_assert_eq!(idx.len(), got);
-        self.idx.extend_from_slice(idx);
-        self.d2.extend_from_slice(d2);
-        for _ in got..k {
-            self.idx.push(u32::MAX);
-            self.d2.push(f64::INFINITY);
-        }
-        self.cnt.push(got as u32);
-    }
-
-    fn row(&self, r: usize, k: usize) -> (&[u32], &[f64]) {
-        let m = self.cnt[r] as usize;
-        (&self.idx[r * k..r * k + m], &self.d2[r * k..r * k + m])
-    }
-
-    fn concat(parts: Vec<QueryRows>, _k: usize) -> Self {
-        let mut out = QueryRows::default();
-        for p in parts {
-            out.idx.extend_from_slice(&p.idx);
-            out.d2.extend_from_slice(&p.d2);
-            out.cnt.extend_from_slice(&p.cnt);
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -483,7 +394,6 @@ mod tests {
     fn delta_matches_full_rebuild_bit_exactly() {
         let cfg = IncrementalKnnConfig {
             k: 6,
-            f32_storage: false,
             ..IncrementalKnnConfig::default()
         };
         let c0 = cloud(500, 1);
@@ -519,28 +429,6 @@ mod tests {
         let stats = engine.update(&c0);
         assert_eq!(stats, KnnDelta::default());
         assert!(engine.last_dirty().is_empty());
-    }
-
-    #[test]
-    fn displacement_bound_tolerates_small_drift_then_trips() {
-        let cfg = IncrementalKnnConfig {
-            displacement_bound: 0.01,
-            ..IncrementalKnnConfig::default()
-        };
-        let c0 = cloud(200, 5);
-        let mut engine = IncrementalKnn::build(&c0, &cfg);
-        // Drift every point by 0.004 per step: below the bound at first,
-        // cumulative drift (vs the *reference*) trips it by step 3.
-        let mut total_moved = 0;
-        let mut data = c0.as_slice().to_vec();
-        for _ in 0..3 {
-            for v in data.iter_mut() {
-                *v += 0.004;
-            }
-            let stats = engine.update(&PointCloud::from_flat(2, data.clone()));
-            total_moved += stats.moved;
-        }
-        assert!(total_moved >= 200, "cumulative drift must trip the bound");
     }
 
     #[test]

@@ -1,15 +1,21 @@
-//! Reusable uniform-grid spatial index with flat CSR buckets.
+//! Uniform-grid spatial index with flat CSR buckets: the one exact grid
+//! kNN search.
 //!
-//! The original [`super::grid_knn`] rebuilds `Vec<Vec<u32>>` buckets and
-//! allocates per-ring scratch on every call. This index is the
-//! allocation-light replacement used by the incremental kNN engine
-//! ([`crate::incremental`]): cells are stored as one CSR pair
-//! (`offsets` + `items`), queries reuse a caller-held [`GridScratch`],
-//! and the same `knn_into` routine serves both full builds and delta
-//! re-queries — which is what makes the delta path **bit-exact** against
-//! a from-scratch rebuild (identical candidate scoring, identical tie
-//! handling; the grid geometry only affects which cells are *visited*,
-//! never the result of an exact query).
+//! Both grid consumers run it: the batch builder
+//! ([`super::grid_knn`], behind [`super::KnnStrategy::Grid`]) and the
+//! incremental kNN engine ([`crate::incremental`]). Cells are stored as
+//! one CSR pair (`offsets` + `items`), queries reuse a thread-local
+//! [`GridScratch`], and the same [`GridIndex::knn_into`] routine serves
+//! full builds and delta re-queries through one chunk-ordered loop
+//! (`GridIndex::query_rows`) — which is what makes the delta path
+//! **bit-exact** against a from-scratch rebuild (identical candidate
+//! scoring, identical tie handling; the grid geometry only affects which
+//! cells are *visited*, never the result of an exact query).
+//!
+//! Candidates are scored by the batched kernel
+//! `sgm_linalg::simd::dist2_batch`, whose per-point result does not
+//! depend on batch position, so every list equals the brute-force
+//! oracle ([`super::brute_knn`]) bit for bit: ids, order and `dist²`.
 //!
 //! ## Tie handling
 //!
@@ -23,20 +29,88 @@
 //! missed — adversarial lattice clouds with massive distance ties stay
 //! exact.
 
-use crate::points::Coords;
+use crate::points::PointCloud;
+use std::cell::RefCell;
 
 /// Caller-held scratch for [`GridIndex`] queries; reuse across calls to
 /// keep the steady-state query loop allocation-free.
 #[derive(Debug, Default)]
 pub struct GridScratch {
     cand: Vec<u32>,
-    gather64: Vec<f64>,
-    gather32: Vec<f32>,
+    gather: Vec<f64>,
     d2: Vec<f64>,
 }
 
-/// Uniform bucket grid over the bounding box of a [`Coords`] store,
-/// with flat CSR cell storage. Supports spatial dimensions 1–4 (the
+impl GridScratch {
+    /// Scores the gathered candidates against stored point `q`: copies
+    /// them into one contiguous buffer and runs the batched distance
+    /// kernel, leaving `d2[c] = dist²(cand[c], q)`. The gather is what
+    /// keeps the batch kernel fed from scattered grid buckets.
+    fn score(&mut self, cloud: &PointCloud, q: usize) {
+        self.gather.clear();
+        self.gather.reserve(self.cand.len() * cloud.dim());
+        for &c in &self.cand {
+            self.gather.extend_from_slice(cloud.point(c as usize));
+        }
+        self.d2.resize(self.cand.len(), 0.0);
+        sgm_linalg::simd::dist2_batch(&self.gather, cloud.dim(), cloud.point(q), &mut self.d2);
+    }
+}
+
+thread_local! {
+    static QUERY_SCRATCH: RefCell<(GridScratch, Vec<u32>, Vec<f64>)> =
+        RefCell::new((GridScratch::default(), Vec::new(), Vec::new()));
+}
+
+/// Packed query results: one `k`-slot row of ids and `dist²` per queried
+/// point, padded with `(u32::MAX, +∞)` past the row's valid count.
+#[derive(Debug, Default)]
+pub(crate) struct KnnRows {
+    idx: Vec<u32>,
+    d2: Vec<f64>,
+    cnt: Vec<u32>,
+}
+
+impl KnnRows {
+    fn with_capacity(rows: usize, k: usize) -> Self {
+        KnnRows {
+            idx: Vec::with_capacity(rows * k),
+            d2: Vec::with_capacity(rows * k),
+            cnt: Vec::with_capacity(rows),
+        }
+    }
+
+    fn concat(parts: Vec<KnnRows>) -> Self {
+        let mut out = KnnRows::default();
+        for p in parts {
+            out.idx.extend_from_slice(&p.idx);
+            out.d2.extend_from_slice(&p.d2);
+            out.cnt.extend_from_slice(&p.cnt);
+        }
+        out
+    }
+
+    fn push(&mut self, idx: &[u32], d2: &[f64], k: usize) {
+        let got = idx.len();
+        self.idx.extend_from_slice(idx);
+        self.d2.extend_from_slice(d2);
+        for _ in got..k {
+            self.idx.push(u32::MAX);
+            self.d2.push(f64::INFINITY);
+        }
+        self.cnt.push(got as u32);
+    }
+
+    /// Valid neighbour ids and squared distances of row `r` (rows were
+    /// packed with stride `k`), ascending by `(dist², index)`.
+    pub(crate) fn row(&self, r: usize, k: usize) -> (&[u32], &[f64]) {
+        let m = self.cnt[r] as usize;
+        (&self.idx[r * k..r * k + m], &self.d2[r * k..r * k + m])
+    }
+}
+
+/// Uniform bucket grid over the bounding box of a [`PointCloud`], with
+/// flat CSR cell storage. Supports spatial dimensions 1–4 (the
 /// projections PINN clouds build their PGM on).
 #[derive(Debug)]
 pub struct GridIndex {
@@ -52,17 +126,16 @@ pub struct GridIndex {
 }
 
 impl GridIndex {
-    /// Builds the index over every point of `coords` (two counting
-    /// passes, no per-cell allocation). Reuses the ~2-points-per-cell
-    /// sizing of [`super::grid_knn`].
+    /// Builds the index over every point of `cloud` (two counting
+    /// passes, no per-cell allocation), sized for ~2 points per cell.
     ///
     /// # Panics
-    /// Panics if `coords` is empty or `dim > 4`.
-    pub fn build(coords: &Coords) -> Self {
-        let (n, dim) = (coords.len(), coords.dim());
-        assert!(n > 0, "empty coords");
+    /// Panics if `cloud` is empty or `dim > 4`.
+    pub fn build(cloud: &PointCloud) -> Self {
+        let (n, dim) = (cloud.len(), cloud.dim());
+        assert!(n > 0, "empty cloud");
         assert!((1..=4).contains(&dim), "GridIndex supports dim 1..=4");
-        let (mins, maxs) = coords.bounds();
+        let (mins, maxs) = cloud.bounds();
         let cells_target = (n as f64 / 2.0).max(1.0);
         let per_axis = cells_target.powf(1.0 / dim as f64).ceil().max(1.0) as usize;
         let mut widths = vec![0.0; dim];
@@ -84,7 +157,7 @@ impl GridIndex {
         // Counting pass → prefix sums → fill pass. Filling in ascending
         // point order keeps each cell's items ascending (determinism).
         for i in 0..n {
-            let c = idx.cell_of(coords, i);
+            let c = idx.cell_of(cloud, i);
             idx.offsets[c + 1] += 1;
         }
         for c in 0..num_cells {
@@ -92,7 +165,7 @@ impl GridIndex {
         }
         let mut cursor: Vec<u32> = idx.offsets[..num_cells].to_vec();
         for i in 0..n {
-            let c = idx.cell_of(coords, i);
+            let c = idx.cell_of(cloud, i);
             idx.items[cursor[c] as usize] = i as u32;
             cursor[c] += 1;
         }
@@ -101,11 +174,10 @@ impl GridIndex {
 
     /// Linear cell id of stored point `i`.
     #[inline]
-    fn cell_of(&self, coords: &Coords, i: usize) -> usize {
+    fn cell_of(&self, cloud: &PointCloud, i: usize) -> usize {
         let mut idx = 0usize;
-        for d in 0..self.dim {
-            let c = (((coords.get(i, d) - self.mins[d]) / self.widths[d]) as usize)
-                .min(self.per_axis - 1);
+        for (d, &v) in cloud.point(i).iter().enumerate() {
+            let c = (((v - self.mins[d]) / self.widths[d]) as usize).min(self.per_axis - 1);
             idx = idx * self.per_axis + c;
         }
         idx
@@ -113,11 +185,11 @@ impl GridIndex {
 
     /// Per-axis cell coordinates of stored point `i`.
     #[inline]
-    fn cell_coords(&self, coords: &Coords, i: usize) -> [isize; 4] {
+    fn cell_coords(&self, cloud: &PointCloud, i: usize) -> [isize; 4] {
         let mut home = [0isize; 4];
-        for (d, h) in home.iter_mut().enumerate().take(self.dim) {
-            *h = (((coords.get(i, d) - self.mins[d]) / self.widths[d]) as usize)
-                .min(self.per_axis - 1) as isize;
+        for (d, &v) in cloud.point(i).iter().enumerate() {
+            home[d] =
+                (((v - self.mins[d]) / self.widths[d]) as usize).min(self.per_axis - 1) as isize;
         }
         home
     }
@@ -172,7 +244,7 @@ impl GridIndex {
     /// Returns the number of neighbours found (`min(k, n-1)`).
     pub fn knn_into(
         &self,
-        coords: &Coords,
+        cloud: &PointCloud,
         q: usize,
         k: usize,
         scratch: &mut GridScratch,
@@ -184,7 +256,7 @@ impl GridIndex {
         if k == 0 {
             return 0;
         }
-        let home = self.cell_coords(coords, q);
+        let home = self.cell_coords(cloud, q);
         let mut ring = 0isize;
         loop {
             // Gather this ring's candidates, then score them in one
@@ -198,13 +270,7 @@ impl GridIndex {
                 }
             });
             if !scratch.cand.is_empty() {
-                coords.score_candidates(
-                    q,
-                    &scratch.cand,
-                    &mut scratch.gather64,
-                    &mut scratch.gather32,
-                    &mut scratch.d2,
-                );
+                scratch.score(cloud, q);
                 for (c, &j) in scratch.cand.iter().enumerate() {
                     let d = scratch.d2[c];
                     if out_idx.len() == k {
@@ -243,18 +309,50 @@ impl GridIndex {
         out_idx.len()
     }
 
+    /// Exact k-nearest neighbours of every point in `points`, packed as
+    /// one `k`-slot row per point in `points` order. Queries fan out to
+    /// the pool in fixed-size chunks that are concatenated in chunk
+    /// order, so the rows are identical for every thread count. Full
+    /// builds and delta re-queries both run this loop.
+    pub(crate) fn query_rows(&self, cloud: &PointCloud, points: &[u32], k: usize) -> KnnRows {
+        let m = points.len();
+        let query_chunk = |range: std::ops::Range<usize>| -> KnnRows {
+            QUERY_SCRATCH.with(|cell| {
+                let (scratch, idx, d2) = &mut *cell.borrow_mut();
+                let mut rows = KnnRows::with_capacity(range.len(), k);
+                for &p in &points[range] {
+                    self.knn_into(cloud, p as usize, k, scratch, idx, d2);
+                    rows.push(idx, d2, k);
+                }
+                rows
+            })
+        };
+        let work = m.saturating_mul(k * 64);
+        match sgm_par::current().pool(work, super::KNN_PAR_WORK) {
+            Some(pool) => {
+                let chunk = sgm_par::chunk_len(m, 8);
+                let num_chunks = m.div_ceil(chunk);
+                let parts = pool.par_map_indexed(num_chunks, 1, |c| {
+                    query_chunk(c * chunk..((c + 1) * chunk).min(m))
+                });
+                KnnRows::concat(parts)
+            }
+            None => query_chunk(0..m),
+        }
+    }
+
     /// Calls `f(j, dist²)` for every stored point `j ≠ center` within
     /// squared distance `r2` of stored point `center` (inclusive
     /// boundary — callers use this for conservative dirty capture).
     pub fn for_each_within(
         &self,
-        coords: &Coords,
+        cloud: &PointCloud,
         center: usize,
         r2: f64,
         scratch: &mut GridScratch,
         mut f: impl FnMut(u32, f64),
     ) {
-        let home = self.cell_coords(coords, center);
+        let home = self.cell_coords(cloud, center);
         let radius = r2.sqrt();
         let mut ring = 0isize;
         loop {
@@ -267,13 +365,7 @@ impl GridIndex {
                 }
             });
             if !scratch.cand.is_empty() {
-                coords.score_candidates(
-                    center,
-                    &scratch.cand,
-                    &mut scratch.gather64,
-                    &mut scratch.gather32,
-                    &mut scratch.d2,
-                );
+                scratch.score(cloud, center);
                 for (c, &j) in scratch.cand.iter().enumerate() {
                     if scratch.d2[c] <= r2 {
                         f(j, scratch.d2[c]);
@@ -297,14 +389,13 @@ mod tests {
     use crate::points::PointCloud;
     use sgm_linalg::rng::Rng64;
 
-    fn knn_via_index(cloud: &PointCloud, k: usize, f32_storage: bool) -> Vec<Vec<(usize, f64)>> {
-        let coords = Coords::from_cloud(cloud, f32_storage);
-        let grid = GridIndex::build(&coords);
+    fn knn_via_index(cloud: &PointCloud, k: usize) -> Vec<Vec<(usize, f64)>> {
+        let grid = GridIndex::build(cloud);
         let mut scratch = GridScratch::default();
         let (mut idx, mut d2) = (Vec::new(), Vec::new());
         (0..cloud.len())
             .map(|i| {
-                grid.knn_into(&coords, i, k, &mut scratch, &mut idx, &mut d2);
+                grid.knn_into(cloud, i, k, &mut scratch, &mut idx, &mut d2);
                 idx.iter()
                     .map(|&j| j as usize)
                     .zip(d2.iter().copied())
@@ -318,7 +409,7 @@ mod tests {
         let mut rng = Rng64::new(7);
         let cloud = PointCloud::uniform_box(400, 2, 0.0, 1.0, &mut rng);
         let exact = brute_knn(&cloud, 6);
-        let got = knn_via_index(&cloud, 6, false);
+        let got = knn_via_index(&cloud, 6);
         assert_eq!(got, exact);
     }
 
@@ -326,7 +417,7 @@ mod tests {
     fn matches_brute_exactly_in_3d() {
         let mut rng = Rng64::new(8);
         let cloud = PointCloud::uniform_box(300, 3, -2.0, 1.0, &mut rng);
-        assert_eq!(knn_via_index(&cloud, 5, false), brute_knn(&cloud, 5));
+        assert_eq!(knn_via_index(&cloud, 5), brute_knn(&cloud, 5));
     }
 
     #[test]
@@ -342,41 +433,25 @@ mod tests {
             }
         }
         let cloud = PointCloud::from_flat(2, data);
-        assert_eq!(knn_via_index(&cloud, 5, false), brute_knn(&cloud, 5));
+        assert_eq!(knn_via_index(&cloud, 5), brute_knn(&cloud, 5));
     }
 
     #[test]
     fn radius_query_is_exhaustive() {
         let mut rng = Rng64::new(9);
         let cloud = PointCloud::uniform_box(200, 2, 0.0, 1.0, &mut rng);
-        let coords = Coords::from_cloud(&cloud, false);
-        let grid = GridIndex::build(&coords);
+        let grid = GridIndex::build(&cloud);
         let mut scratch = GridScratch::default();
         let r2 = 0.02;
         for c in [0usize, 57, 199] {
             let mut got: Vec<u32> = Vec::new();
-            grid.for_each_within(&coords, c, r2, &mut scratch, |j, _| got.push(j));
+            grid.for_each_within(&cloud, c, r2, &mut scratch, |j, _| got.push(j));
             got.sort_unstable();
             let want: Vec<u32> = (0..cloud.len())
                 .filter(|&j| j != c && cloud.dist2(c, j) <= r2)
                 .map(|j| j as u32)
                 .collect();
             assert_eq!(got, want, "center {c}");
-        }
-    }
-
-    #[test]
-    fn f32_mode_preserves_rank_order_on_well_separated_cloud() {
-        let mut rng = Rng64::new(10);
-        let cloud = PointCloud::uniform_box(300, 2, 0.0, 1.0, &mut rng);
-        let f64_lists = knn_via_index(&cloud, 4, false);
-        let f32_lists = knn_via_index(&cloud, 4, true);
-        // Random uniform clouds have no near-ties at f32 resolution:
-        // the neighbour identity sequence must match exactly.
-        for (a, b) in f64_lists.iter().zip(&f32_lists) {
-            let ai: Vec<usize> = a.iter().map(|&(j, _)| j).collect();
-            let bi: Vec<usize> = b.iter().map(|&(j, _)| j).collect();
-            assert_eq!(ai, bi);
         }
     }
 }

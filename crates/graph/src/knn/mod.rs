@@ -4,20 +4,25 @@
 //! are conditionally dependent, with edge weight inversely proportional to
 //! distance. Two exact builders are provided:
 //!
-//! * [`KnnStrategy::Grid`] — the production builder: a uniform bucket
-//!   grid, near-linear for the 2-D/3-D spatial coordinates PINN clouds
-//!   actually use (the incremental refresh path is grid-only too).
+//! * [`KnnStrategy::Grid`] — the production builder: one search over a
+//!   [`grid::GridIndex`], near-linear for the 2-D/3-D spatial coordinates
+//!   PINN clouds actually use. The incremental refresh engine
+//!   ([`crate::incremental`]) runs the same index and query loop.
 //! * [`KnnStrategy::Brute`] — exact `O(N²)`; the oracle for tests and fine
 //!   for clouds below a few thousand points.
 //!
-//! The paper builds S1 with HNSW (Malkov & Yashunin, ref [17]). On these
+//! Both score candidates with the same batched distance kernel and order
+//! ties by index, so their lists agree bit for bit: ids, order and
+//! `dist²`.
+//!
+//! The paper builds S1 with HNSW (Malkov & Yashunin, ref \[17\]). On these
 //! low-dimensional clouds the exact grid is faster (about 10× at
 //! N = 16k in 2-D, `BENCH_PR1.json`), so no approximate index is kept.
 
 pub mod grid;
 
 use crate::graph::Graph;
-use crate::points::{dist2, PointCloud};
+use crate::points::PointCloud;
 use sgm_obs::{trace, Histogram, TraceLevel};
 
 /// Wall time of each full kNN graph build (nanoseconds).
@@ -26,7 +31,7 @@ static KNN_BUILD_NS: Histogram = Histogram::new("sgm_graph_knn_build_ns");
 /// Auto-mode work cutoff (≈ distance evaluations) above which per-query
 /// kNN fans out to the pool. Each query row is independent, so the
 /// parallel result is bit-identical to the serial scan.
-const KNN_PAR_WORK: usize = 1 << 18;
+pub(crate) const KNN_PAR_WORK: usize = 1 << 18;
 
 /// Which kNN algorithm to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -156,104 +161,26 @@ pub fn brute_knn(cloud: &PointCloud, k: usize) -> Vec<Vec<(usize, f64)>> {
     }
 }
 
-/// Exact kNN using a uniform bucket grid over the bounding box. Efficient
-/// for spatial (2–4 dimensional) clouds with roughly uniform density.
+/// Exact kNN over a [`grid::GridIndex`]: the incremental engine's full
+/// build, returned as lists. Equal to [`brute_knn`] bit for bit. Clouds
+/// with `dim > 4` or `n <= k + 1` fall back to [`brute_knn`].
 pub fn grid_knn(cloud: &PointCloud, k: usize) -> Vec<Vec<(usize, f64)>> {
     let n = cloud.len();
-    let dim = cloud.dim();
-    if n <= k + 1 || dim > 4 {
+    if n <= k + 1 || cloud.dim() > 4 {
         return brute_knn(cloud, k.min(n.saturating_sub(1)));
     }
-    let (mins, maxs) = cloud.bounds();
-    // Aim for ~2 points per cell.
-    let cells_target = (n as f64 / 2.0).max(1.0);
-    let per_axis = cells_target.powf(1.0 / dim as f64).ceil().max(1.0) as usize;
-    let mut widths = vec![0.0; dim];
-    for d in 0..dim {
-        let span = (maxs[d] - mins[d]).max(1e-12);
-        widths[d] = span / per_axis as f64;
-    }
-    let cell_of = |p: &[f64]| -> Vec<usize> {
-        (0..dim)
-            .map(|d| (((p[d] - mins[d]) / widths[d]) as usize).min(per_axis - 1))
-            .collect()
-    };
-    let linear = |c: &[usize]| -> usize {
-        let mut idx = 0;
-        for &cd in c.iter().take(dim) {
-            idx = idx * per_axis + cd;
-        }
-        idx
-    };
-    let num_cells = per_axis.pow(dim as u32);
-    let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); num_cells];
-    for i in 0..n {
-        buckets[linear(&cell_of(cloud.point(i)))].push(i as u32);
-    }
-
-    let mut out = Vec::with_capacity(n);
-    for i in 0..n {
-        let home = cell_of(cloud.point(i));
-        let mut ring = 0usize;
-        let mut heap: Vec<(usize, f64)> = Vec::new(); // collected candidates
-        loop {
-            // Gather all cells at Chebyshev distance exactly `ring`.
-            let mut any_cell = false;
-            let mut stack = vec![(0usize, Vec::<isize>::new())];
-            while let Some((d, partial)) = stack.pop() {
-                if d == dim {
-                    let cheb = partial.iter().map(|o| o.unsigned_abs()).max().unwrap_or(0);
-                    if cheb != ring {
-                        continue;
-                    }
-                    let mut cell = vec![0usize; dim];
-                    let mut ok = true;
-                    for dd in 0..dim {
-                        let c = home[dd] as isize + partial[dd];
-                        if c < 0 || c >= per_axis as isize {
-                            ok = false;
-                            break;
-                        }
-                        cell[dd] = c as usize;
-                    }
-                    if ok {
-                        any_cell = true;
-                        for &j in &buckets[linear(&cell)] {
-                            let j = j as usize;
-                            if j != i {
-                                heap.push((j, cloud.dist2(i, j)));
-                            }
-                        }
-                    }
-                    continue;
-                }
-                for off in -(ring as isize)..=(ring as isize) {
-                    let mut p = partial.clone();
-                    p.push(off);
-                    stack.push((d + 1, p));
-                }
-            }
-            // Stop when we have k candidates whose distance is provably
-            // within the scanned region: the scanned region covers radius
-            // ring * min_width around the home cell.
-            if heap.len() >= k {
-                let safe_radius = ring as f64 * widths.iter().cloned().fold(f64::MAX, f64::min);
-                heap.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
-                if heap.len() >= k && heap[k - 1].1.sqrt() <= safe_radius {
-                    break;
-                }
-            }
-            if !any_cell && ring > per_axis {
-                break;
-            }
-            ring += 1;
-        }
-        heap.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
-        heap.dedup_by_key(|e| e.0);
-        heap.truncate(k);
-        out.push(heap);
-    }
-    out
+    let index = grid::GridIndex::build(cloud);
+    let all: Vec<u32> = (0..n as u32).collect();
+    let rows = index.query_rows(cloud, &all, k);
+    (0..n)
+        .map(|r| {
+            let (idx, d2) = rows.row(r, k);
+            idx.iter()
+                .map(|&j| j as usize)
+                .zip(d2.iter().copied())
+                .collect()
+        })
+        .collect()
 }
 
 /// Recall of an approximate kNN result against the exact one: the fraction
@@ -277,11 +204,6 @@ pub fn recall(approx: &[Vec<(usize, f64)>], exact: &[Vec<(usize, f64)>]) -> f64 
         total += hit as f64 / truth.len() as f64;
     }
     total / approx.len() as f64
-}
-
-/// Convenience: exact squared distance between two raw points.
-pub fn point_dist2(a: &[f64], b: &[f64]) -> f64 {
-    dist2(a, b)
 }
 
 #[cfg(test)]
@@ -315,19 +237,14 @@ mod tests {
     fn grid_matches_brute() {
         let mut rng = Rng64::new(42);
         let c = PointCloud::uniform_box(300, 2, 0.0, 1.0, &mut rng);
-        let exact = brute_knn(&c, 5);
-        let grid = grid_knn(&c, 5);
-        let r = recall(&grid, &exact);
-        assert!(r > 0.999, "grid recall {r}");
+        assert_eq!(grid_knn(&c, 5), brute_knn(&c, 5));
     }
 
     #[test]
     fn grid_matches_brute_3d() {
         let mut rng = Rng64::new(43);
         let c = PointCloud::uniform_box(200, 3, -1.0, 1.0, &mut rng);
-        let exact = brute_knn(&c, 4);
-        let grid = grid_knn(&c, 4);
-        assert!(recall(&grid, &exact) > 0.999);
+        assert_eq!(grid_knn(&c, 4), brute_knn(&c, 4));
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! Graph machinery for the SGM-PINN probabilistic graphical model (PGM):
 //!
 //! * [`points`] — flat, cache-friendly point clouds (`N × M` features).
-//! * [`knn`] — exact k-nearest-neighbour graph builders for S1: a
-//!   uniform-grid accelerator for low-dimensional clouds (production) and
-//!   brute force (the test oracle).
+//! * [`knn`] — exact k-nearest-neighbour graph builders for S1: one
+//!   uniform-grid index for low-dimensional clouds (production; the
+//!   incremental engine runs the same search) and brute force (the test
+//!   oracle). The two agree bit for bit.
 //! * [`graph`] — undirected weighted graphs in edge + CSR adjacency form,
 //!   union–find, BFS/components.
 //! * [`laplacian`] — graph Laplacians (combinatorial and normalised) as
@@ -16,6 +17,9 @@
 //!   in production — linear time in the edge count.
 //! * [`partition`] — grid-partitioned multi-threaded S1+S2 (paper §3.3's
 //!   "speedup roughly linear with the number of available threads").
+//! * [`incremental`] / [`refresh`] — delta S1+S2 for periodic rebuilds:
+//!   only moved points and their neighbourhoods are re-queried, only
+//!   dirty LRD blocks recompute; bit-identical to a full rebuild.
 //! * [`lrd`] — the **low-resistance-diameter decomposition** (S2): partitions
 //!   the PGM into clusters whose internal effective-resistance diameter is
 //!   bounded, by level-wise contraction of low-ER edges (Alev et al.,

@@ -33,7 +33,7 @@ use crate::graph::{Graph, UnionFind};
 use crate::incremental::{IncrementalKnn, IncrementalKnnConfig};
 use crate::knn::{build_knn_graph, KnnConfig};
 use crate::lrd::{decompose, Clustering, ErSource, LrdConfig};
-use crate::points::{Coords, PointCloud};
+use crate::points::PointCloud;
 use sgm_obs::Histogram;
 
 /// Wall time of the blocked LRD stage per refresh (nanoseconds).
@@ -47,20 +47,11 @@ static BLOCKS_RECOMPUTED: Histogram = Histogram::new("sgm_graph_refresh_blocks_r
 pub struct RefreshOptions {
     /// Target points per LRD block.
     pub block_size: usize,
-    /// Displacement below which a point keeps its stale reference
-    /// position (`0.0` = exact; see [`crate::incremental`]).
-    pub displacement_bound: f64,
-    /// Compact f32 coordinate storage (`SGM_DIST_F32` default).
-    pub f32_storage: bool,
 }
 
 impl Default for RefreshOptions {
     fn default() -> Self {
-        RefreshOptions {
-            block_size: 2048,
-            displacement_bound: 0.0,
-            f32_storage: crate::points::dist_f32_from_env(),
-        }
+        RefreshOptions { block_size: 2048 }
     }
 }
 
@@ -86,7 +77,7 @@ pub struct RefreshStats {
     pub full_build: bool,
     /// Cloud size.
     pub points_total: usize,
-    /// Points whose displacement exceeded the bound.
+    /// Points whose coordinates changed.
     pub points_moved: usize,
     /// Points re-queried against the grid.
     pub points_rescored: usize,
@@ -200,11 +191,9 @@ impl GraphRefresher {
             let knn_cfg = IncrementalKnnConfig {
                 k: self.cfg.knn.k,
                 weight_eps: self.cfg.knn.weight_eps,
-                f32_storage: self.cfg.opts.f32_storage,
-                displacement_bound: self.cfg.opts.displacement_bound,
             };
             let engine = IncrementalKnn::build(cloud, &knn_cfg);
-            self.freeze_blocking(engine.coords());
+            self.freeze_blocking(engine.reference());
             self.knn = Some(engine);
             stats.full_build = true;
             stats.points_rescored = cloud.len();
@@ -284,23 +273,22 @@ impl GraphRefresher {
     }
 
     /// (Re)computes the spatial blocking over the engine's reference
-    /// coordinates and clears the block cache.
-    fn freeze_blocking(&mut self, coords: &Coords) {
-        let n = coords.len();
-        let dim = coords.dim();
+    /// cloud and clears the block cache.
+    fn freeze_blocking(&mut self, cloud: &PointCloud) {
+        let n = cloud.len();
+        let dim = cloud.dim();
         let num_blocks = n.div_ceil(self.cfg.opts.block_size.max(1)).max(1);
         // Coarse grid with ~one cell per block; sorting by (cell, id)
         // groups spatial neighbourhoods into contiguous runs.
         let per_axis = (num_blocks as f64).powf(1.0 / dim as f64).ceil().max(1.0) as usize;
-        let (mins, maxs) = coords.bounds();
+        let (mins, maxs) = cloud.bounds();
         let widths: Vec<f64> = (0..dim)
             .map(|d| (maxs[d] - mins[d]).max(1e-12) / per_axis as f64)
             .collect();
         let cell = |i: usize| -> usize {
             let mut c = 0usize;
-            for d in 0..dim {
-                c = c * per_axis
-                    + (((coords.get(i, d) - mins[d]) / widths[d]) as usize).min(per_axis - 1);
+            for (d, &v) in cloud.point(i).iter().enumerate() {
+                c = c * per_axis + (((v - mins[d]) / widths[d]) as usize).min(per_axis - 1);
             }
             c
         };
@@ -516,10 +504,7 @@ mod tests {
                 ..KnnConfig::default()
             },
             lrd: LrdConfig::default(),
-            opts: RefreshOptions {
-                block_size,
-                ..RefreshOptions::default()
-            },
+            opts: RefreshOptions { block_size },
         }
     }
 
@@ -539,7 +524,7 @@ mod tests {
         let mut data = c.as_slice().to_vec();
         let dim = c.dim();
         for i in 0..c.len() {
-            if c.dist2_to(i, center) < radius * radius {
+            if crate::points::dist2(c.point(i), center) < radius * radius {
                 for d in 0..dim {
                     data[i * dim + d] += rng.uniform_in(-amp, amp);
                 }

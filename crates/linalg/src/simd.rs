@@ -37,6 +37,7 @@
 
 #[cfg(target_arch = "x86_64")]
 use std::arch::x86_64::*;
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Mutex, OnceLock};
 
@@ -188,7 +189,8 @@ pub fn available_tiers() -> &'static [SimdTier] {
 /// execute kernels on the forcing thread's behalf. Concurrent `with_tier`
 /// regions therefore serialise on an internal lock; bit-exactness tests
 /// that must not observe a tier flip mid-flight should pin their tier
-/// with this function.
+/// with this function. Regions nest on one thread: an inner region
+/// re-forces the tier under the lock its outer region already holds.
 ///
 /// # Panics
 /// Panics if `tier` is [`SimdTier::Avx2`] on a host without AVX2+FMA,
@@ -202,14 +204,31 @@ pub fn with_tier<R>(tier: SimdTier, f: impl FnOnce() -> R) -> R {
         tier != SimdTier::Avx512 || avx512_available(),
         "cannot force the AVX-512 tier: host lacks AVX-512F"
     );
-    let _guard = FORCE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    struct Restore(u8);
+    thread_local! {
+        /// Whether this thread is inside a `with_tier` region.
+        static HOLDS_LOCK: Cell<bool> = const { Cell::new(false) };
+    }
+    let _guard = if HOLDS_LOCK.get() {
+        None
+    } else {
+        Some(FORCE_LOCK.lock().unwrap_or_else(|e| e.into_inner()))
+    };
+    // Dropped before the lock guard: restores the tier and the
+    // thread's nesting flag while the lock is still held.
+    struct Restore {
+        tier: u8,
+        held: bool,
+    }
     impl Drop for Restore {
         fn drop(&mut self) {
-            FORCED.store(self.0, Ordering::Relaxed);
+            FORCED.store(self.tier, Ordering::Relaxed);
+            HOLDS_LOCK.set(self.held);
         }
     }
-    let _restore = Restore(FORCED.swap(tier.code(), Ordering::Relaxed));
+    let _restore = Restore {
+        tier: FORCED.swap(tier.code(), Ordering::Relaxed),
+        held: HOLDS_LOCK.replace(true),
+    };
     f()
 }
 
@@ -434,64 +453,6 @@ unsafe fn dist2_batch_avx2(points: &[f64], dim: usize, q: &[f64], out: &mut [f64
     while j < n {
         out[j] = dist2_point_fma(&points[j * dim..(j + 1) * dim], q);
         j += 1;
-    }
-}
-
-/// Squared Euclidean distance over **f32-stored** coordinates with
-/// **f64 accumulation**: each coordinate difference is computed in f32
-/// (matching what the compact storage actually holds), widened to f64,
-/// and squared/summed in f64 so the reduction loses no further
-/// precision. One portable implementation serves both dispatch tiers —
-/// results are bit-identical across `SGM_SIMD` settings by
-/// construction, which is what lets the f32 storage mode participate in
-/// the cross-tier determinism matrix without a per-tier twin.
-///
-/// # Panics
-/// Panics if the slices differ in length.
-#[inline]
-pub fn dist2_f32(a: &[f32], b: &[f32]) -> f64 {
-    assert_eq!(a.len(), b.len(), "dist2_f32 length mismatch");
-    let n = a.len();
-    let (mut s0, mut s1, mut s2, mut s3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-    let mut i = 0;
-    while i + 4 <= n {
-        let d0 = (a[i] - b[i]) as f64;
-        let d1 = (a[i + 1] - b[i + 1]) as f64;
-        let d2 = (a[i + 2] - b[i + 2]) as f64;
-        let d3 = (a[i + 3] - b[i + 3]) as f64;
-        s0 += d0 * d0;
-        s1 += d1 * d1;
-        s2 += d2 * d2;
-        s3 += d3 * d3;
-        i += 4;
-    }
-    let mut s = (s0 + s2) + (s1 + s3);
-    while i < n {
-        let d = (a[i] - b[i]) as f64;
-        s += d * d;
-        i += 1;
-    }
-    s
-}
-
-/// f32-storage twin of [`dist2_batch`]: squared f64 distances from an
-/// f32 query to every point of a flat row-major f32 cloud. Same
-/// portable single-implementation contract as [`dist2_f32`].
-///
-/// # Panics
-/// Panics if `q.len() != dim` or `points.len() != out.len() * dim`.
-pub fn dist2_batch_f32(points: &[f32], dim: usize, q: &[f32], out: &mut [f64]) {
-    assert!(dim > 0, "dist2_batch_f32 dim must be positive");
-    assert_eq!(q.len(), dim, "dist2_batch_f32 query dim");
-    assert_eq!(points.len(), out.len() * dim, "dist2_batch_f32 cloud shape");
-    for (j, o) in out.iter_mut().enumerate() {
-        let p = &points[j * dim..(j + 1) * dim];
-        let mut s = 0.0f64;
-        for (pv, qv) in p.iter().zip(q) {
-            let d = (pv - qv) as f64;
-            s += d * d;
-        }
-        *o = s;
     }
 }
 
@@ -3009,15 +2970,19 @@ mod tests {
 
     #[test]
     fn tier_forcing_overrides_and_restores() {
-        let base = current_tier();
-        with_tier(SimdTier::Scalar, || {
-            assert_eq!(current_tier(), SimdTier::Scalar);
+        // The outer region keeps other tests' regions from changing the
+        // tier between the reads below.
+        with_tier(detected_tier(), || {
+            let base = current_tier();
+            with_tier(SimdTier::Scalar, || {
+                assert_eq!(current_tier(), SimdTier::Scalar);
+            });
+            assert_eq!(current_tier(), base);
+            let _ = std::panic::catch_unwind(|| {
+                with_tier(SimdTier::Scalar, || panic!("boom"));
+            });
+            assert_eq!(current_tier(), base);
         });
-        assert_eq!(current_tier(), base);
-        let _ = std::panic::catch_unwind(|| {
-            with_tier(SimdTier::Scalar, || panic!("boom"));
-        });
-        assert_eq!(current_tier(), base);
     }
 
     #[test]

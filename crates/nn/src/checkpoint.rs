@@ -225,36 +225,46 @@ mod tests {
 
     #[test]
     fn roundtrip_plain() {
-        let original = net(false);
-        let json = Checkpoint::capture(&original).to_json().unwrap();
-        let restored = Checkpoint::from_json(&json).unwrap().restore().unwrap();
-        let mut rng = Rng64::new(3);
-        let x = Matrix::gaussian(4, 3, &mut rng);
-        let a = original.forward(&x);
-        let b = restored.forward(&x);
-        for i in 0..a.as_slice().len() {
-            assert_eq!(a.as_slice()[i], b.as_slice()[i], "bit-exact restore");
-        }
+        // Pinned: the two forwards compared below must not straddle a
+        // tier flip made by another test in this binary.
+        let tier = sgm_linalg::simd::detected_tier();
+        sgm_linalg::simd::with_tier(tier, || {
+            let original = net(false);
+            let json = Checkpoint::capture(&original).to_json().unwrap();
+            let restored = Checkpoint::from_json(&json).unwrap().restore().unwrap();
+            let mut rng = Rng64::new(3);
+            let x = Matrix::gaussian(4, 3, &mut rng);
+            let a = original.forward(&x);
+            let b = restored.forward(&x);
+            for i in 0..a.as_slice().len() {
+                assert_eq!(a.as_slice()[i], b.as_slice()[i], "bit-exact restore");
+            }
+        });
     }
 
     #[test]
     fn roundtrip_with_fourier() {
-        let original = net(true);
-        let json = Checkpoint::capture(&original).to_json().unwrap();
-        let restored = Checkpoint::from_json(&json).unwrap().restore().unwrap();
-        let mut rng = Rng64::new(4);
-        let x = Matrix::gaussian(4, 3, &mut rng);
-        let a = original.forward(&x);
-        let b = restored.forward(&x);
-        for i in 0..a.as_slice().len() {
-            assert_eq!(a.as_slice()[i], b.as_slice()[i]);
-        }
-        // Derivatives too (the frequencies matter there).
-        let (da, _) = original.forward_with_derivs(&x, &[0, 1]);
-        let (db, _) = restored.forward_with_derivs(&x, &[0, 1]);
-        for i in 0..da.jac[0].as_slice().len() {
-            assert_eq!(da.jac[0].as_slice()[i], db.jac[0].as_slice()[i]);
-        }
+        // Pinned: the two forwards compared below must not straddle a
+        // tier flip made by another test in this binary.
+        let tier = sgm_linalg::simd::detected_tier();
+        sgm_linalg::simd::with_tier(tier, || {
+            let original = net(true);
+            let json = Checkpoint::capture(&original).to_json().unwrap();
+            let restored = Checkpoint::from_json(&json).unwrap().restore().unwrap();
+            let mut rng = Rng64::new(4);
+            let x = Matrix::gaussian(4, 3, &mut rng);
+            let a = original.forward(&x);
+            let b = restored.forward(&x);
+            for i in 0..a.as_slice().len() {
+                assert_eq!(a.as_slice()[i], b.as_slice()[i]);
+            }
+            // Derivatives too (the frequencies matter there).
+            let (da, _) = original.forward_with_derivs(&x, &[0, 1]);
+            let (db, _) = restored.forward_with_derivs(&x, &[0, 1]);
+            for i in 0..da.jac[0].as_slice().len() {
+                assert_eq!(da.jac[0].as_slice()[i], db.jac[0].as_slice()[i]);
+            }
+        });
     }
 
     #[test]

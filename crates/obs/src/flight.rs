@@ -12,8 +12,8 @@
 //! without breaking the zero-allocation steady-state contract.
 //!
 //! A recording thread picks its ring with the same
-//! [`metrics::thread_ordinal`] used by the metric shards; up to
-//! [`metrics::SHARDS`] concurrent recorders never share a cache line.
+//! [`crate::metrics::thread_ordinal`] used by the metric shards; up to
+//! [`crate::metrics::SHARDS`] concurrent recorders never share a cache line.
 //! Each ring has its own monotone write head (`fetch_add`), so two
 //! threads that do land on the same ring still claim distinct slots.
 //!
@@ -22,7 +22,7 @@
 //! Slots are plain word-sized atomics, not seqlocks: a snapshot taken
 //! while writers are mid-store can observe a torn event (fields from
 //! two different writes). The sequence word is written *last*, events
-//! carry their own timestamps, and [`snapshot`] drops events whose
+//! carry their own timestamps, and a snapshot drops events whose
 //! sequence word lags the rest of the ring by a full lap, which bounds
 //! the damage to at most one garbled event per actively-writing thread
 //! — an explicitly accepted trade for a recorder that costs O(1)
@@ -144,32 +144,129 @@ struct Ring {
     slots: [Slot; CAPACITY],
 }
 
-static RINGS: [Ring; SHARDS] = [const {
-    Ring {
-        head: AtomicU64::new(0),
-        slots: [const {
-            Slot {
-                seq: AtomicU64::new(0),
-                ts_ns: AtomicU64::new(0),
-                packed: AtomicU64::new(0),
-                value: AtomicU64::new(0),
-            }
-        }; CAPACITY],
-    }
-}; SHARDS];
+/// A set of per-thread event rings. [`FlightRecorder::new`] is `const`,
+/// so a recorder can live in a `static` (the process default does).
+pub struct FlightRecorder {
+    rings: [Ring; SHARDS],
+}
 
-/// Records one event: one relaxed `fetch_add` plus four relaxed stores
-/// into static storage. Never locks, never allocates.
+impl FlightRecorder {
+    /// An empty recorder.
+    pub const fn new() -> Self {
+        FlightRecorder {
+            rings: [const {
+                Ring {
+                    head: AtomicU64::new(0),
+                    slots: [const {
+                        Slot {
+                            seq: AtomicU64::new(0),
+                            ts_ns: AtomicU64::new(0),
+                            packed: AtomicU64::new(0),
+                            value: AtomicU64::new(0),
+                        }
+                    }; CAPACITY],
+                }
+            }; SHARDS],
+        }
+    }
+
+    /// Records one event: one relaxed `fetch_add` plus four relaxed
+    /// stores. Never locks, never allocates.
+    #[inline]
+    pub fn record(&self, kind: EventKind, code: u32, value: u64) {
+        let ring = &self.rings[thread_ordinal() & (SHARDS - 1)];
+        let idx = ring.head.fetch_add(1, Ordering::Relaxed);
+        let slot = &ring.slots[(idx as usize) & (CAPACITY - 1)];
+        slot.ts_ns.store(now_ns(), Ordering::Relaxed);
+        slot.packed
+            .store(((kind as u64) << 32) | code as u64, Ordering::Relaxed);
+        slot.value.store(value, Ordering::Relaxed);
+        slot.seq.store(idx + 1, Ordering::Relaxed);
+    }
+
+    /// Decodes every live slot, ordered by timestamp (ties by ring then
+    /// sequence). Torn or overwritten-in-flight slots (sequence a full
+    /// lap behind the ring head, or an invalid kind byte) are skipped.
+    pub fn snapshot(&self) -> Vec<FlightEvent> {
+        let mut out = Vec::new();
+        for (tid, ring) in self.rings.iter().enumerate() {
+            let head = ring.head.load(Ordering::Relaxed);
+            for slot in &ring.slots {
+                let seq = slot.seq.load(Ordering::Relaxed);
+                if seq == 0 || seq + (CAPACITY as u64) < head {
+                    continue;
+                }
+                let packed = slot.packed.load(Ordering::Relaxed);
+                let Some(kind) = EventKind::from_u8((packed >> 32) as u8) else {
+                    continue;
+                };
+                out.push(FlightEvent {
+                    tid,
+                    seq,
+                    ts_ns: slot.ts_ns.load(Ordering::Relaxed),
+                    kind,
+                    code: packed as u32,
+                    value: slot.value.load(Ordering::Relaxed),
+                });
+            }
+        }
+        out.sort_by_key(|e| (e.ts_ns, e.tid, e.seq));
+        out
+    }
+
+    /// Renders a snapshot as run-telemetry JSONL: one meta line, then
+    /// one `flight` line per event, oldest first. `extra_lines` (already
+    /// serialised JSON objects, e.g. an anomaly record) are appended.
+    pub fn render_jsonl(&self, run: &str, extra_lines: &[Value]) -> String {
+        let events = self.snapshot();
+        let mut out = String::new();
+        let meta = obj([
+            ("type", Value::Str("meta".into())),
+            ("run", Value::Str(run.into())),
+            ("source", Value::Str("flight_recorder".into())),
+            ("events", Value::Num(events.len() as f64)),
+            ("capacity", Value::Num((SHARDS * CAPACITY) as f64)),
+        ]);
+        out.push_str(&meta.to_string_compact());
+        out.push('\n');
+        for e in &events {
+            out.push_str(&event_value(e).to_string_compact());
+            out.push('\n');
+        }
+        for line in extra_lines {
+            out.push_str(&line.to_string_compact());
+            out.push('\n');
+        }
+        out
+    }
+}
+
+impl Default for FlightRecorder {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// The process-default recorder behind the free functions.
+static DEFAULT: FlightRecorder = FlightRecorder::new();
+
+/// Records one event into the process-default recorder (see
+/// [`FlightRecorder::record`]).
 #[inline]
 pub fn record(kind: EventKind, code: u32, value: u64) {
-    let ring = &RINGS[thread_ordinal() & (SHARDS - 1)];
-    let idx = ring.head.fetch_add(1, Ordering::Relaxed);
-    let slot = &ring.slots[(idx as usize) & (CAPACITY - 1)];
-    slot.ts_ns.store(now_ns(), Ordering::Relaxed);
-    slot.packed
-        .store(((kind as u64) << 32) | code as u64, Ordering::Relaxed);
-    slot.value.store(value, Ordering::Relaxed);
-    slot.seq.store(idx + 1, Ordering::Relaxed);
+    DEFAULT.record(kind, code, value);
+}
+
+/// Snapshot of the process-default recorder (see
+/// [`FlightRecorder::snapshot`]).
+pub fn snapshot() -> Vec<FlightEvent> {
+    DEFAULT.snapshot()
+}
+
+/// JSONL dump of the process-default recorder (see
+/// [`FlightRecorder::render_jsonl`]).
+pub fn render_jsonl(run: &str, extra_lines: &[Value]) -> String {
+    DEFAULT.render_jsonl(run, extra_lines)
 }
 
 /// One decoded flight-recorder event.
@@ -193,47 +290,6 @@ impl FlightEvent {
     /// For `loss` events, the payload reinterpreted as the `f64` it is.
     pub fn value_f64(&self) -> f64 {
         f64::from_bits(self.value)
-    }
-}
-
-/// Decodes every live slot, ordered by timestamp (ties by ring then
-/// sequence). Torn or overwritten-in-flight slots (sequence a full lap
-/// behind the ring head, or an invalid kind byte) are skipped.
-pub fn snapshot() -> Vec<FlightEvent> {
-    let mut out = Vec::new();
-    for (tid, ring) in RINGS.iter().enumerate() {
-        let head = ring.head.load(Ordering::Relaxed);
-        for slot in &ring.slots {
-            let seq = slot.seq.load(Ordering::Relaxed);
-            if seq == 0 || seq + (CAPACITY as u64) < head {
-                continue;
-            }
-            let packed = slot.packed.load(Ordering::Relaxed);
-            let Some(kind) = EventKind::from_u8((packed >> 32) as u8) else {
-                continue;
-            };
-            out.push(FlightEvent {
-                tid,
-                seq,
-                ts_ns: slot.ts_ns.load(Ordering::Relaxed),
-                kind,
-                code: packed as u32,
-                value: slot.value.load(Ordering::Relaxed),
-            });
-        }
-    }
-    out.sort_by_key(|e| (e.ts_ns, e.tid, e.seq));
-    out
-}
-
-/// Empties every ring (per-run isolation in harnesses; pairs with
-/// [`crate::metrics::reset`]). Call between runs, not during one.
-pub fn reset() {
-    for ring in &RINGS {
-        ring.head.store(0, Ordering::Relaxed);
-        for slot in &ring.slots {
-            slot.seq.store(0, Ordering::Relaxed);
-        }
     }
 }
 
@@ -261,32 +317,6 @@ pub fn event_value(e: &FlightEvent) -> Value {
         ));
     }
     obj(fields)
-}
-
-/// Renders a snapshot as run-telemetry JSONL: one meta line, then one
-/// `flight` line per event, oldest first. `extra_lines` (already
-/// serialised JSON objects, e.g. an anomaly record) are appended.
-pub fn render_jsonl(run: &str, extra_lines: &[Value]) -> String {
-    let events = snapshot();
-    let mut out = String::new();
-    let meta = obj([
-        ("type", Value::Str("meta".into())),
-        ("run", Value::Str(run.into())),
-        ("source", Value::Str("flight_recorder".into())),
-        ("events", Value::Num(events.len() as f64)),
-        ("capacity", Value::Num((SHARDS * CAPACITY) as f64)),
-    ]);
-    out.push_str(&meta.to_string_compact());
-    out.push('\n');
-    for e in &events {
-        out.push_str(&event_value(e).to_string_compact());
-        out.push('\n');
-    }
-    for line in extra_lines {
-        out.push_str(&line.to_string_compact());
-        out.push('\n');
-    }
-    out
 }
 
 /// The flight-dump directory from `SGM_FLIGHT_DIR`, if set and
@@ -319,44 +349,46 @@ pub fn dump_to_dir(dir: &Path, label: &str, extra_lines: &[Value]) -> std::io::R
 mod tests {
     use super::*;
 
+    // Each test records into a recorder of its own, so tests running
+    // in parallel (and the watchdog tests, which record anomalies into
+    // the process default) never see each other's events.
+
     #[test]
     fn record_snapshot_roundtrip() {
-        reset();
-        record(EventKind::Stage, 3, 1_234);
-        record(EventKind::Loss, 7, 0.5f64.to_bits());
-        record(EventKind::Slice, 42, 10);
-        let snap = snapshot();
+        static R: FlightRecorder = FlightRecorder::new();
+        R.record(EventKind::Stage, 3, 1_234);
+        R.record(EventKind::Loss, 7, 0.5f64.to_bits());
+        R.record(EventKind::Slice, 42, 10);
+        let snap = R.snapshot();
         assert_eq!(snap.len(), 3);
         assert!(snap.windows(2).all(|w| w[0].ts_ns <= w[1].ts_ns));
         let loss = snap.iter().find(|e| e.kind == EventKind::Loss).unwrap();
         assert_eq!(loss.code, 7);
         assert_eq!(loss.value_f64(), 0.5);
-        reset();
-        assert!(snapshot().is_empty());
+        assert!(FlightRecorder::new().snapshot().is_empty());
     }
 
     #[test]
     fn ring_keeps_most_recent_events_on_wrap() {
-        reset();
+        static R: FlightRecorder = FlightRecorder::new();
         let total = CAPACITY + 100;
         for i in 0..total {
-            record(EventKind::Iter, 0, i as u64);
+            R.record(EventKind::Iter, 0, i as u64);
         }
-        let snap = snapshot();
+        let snap = R.snapshot();
         assert_eq!(snap.len(), CAPACITY);
         let min = snap.iter().map(|e| e.value).min().unwrap();
         let max = snap.iter().map(|e| e.value).max().unwrap();
         assert_eq!(max, total as u64 - 1);
         assert_eq!(min, (total - CAPACITY) as u64);
-        reset();
     }
 
     #[test]
     fn jsonl_dump_has_meta_first_and_one_line_per_event() {
-        reset();
-        record(EventKind::Rebuild, 0, 999);
-        record(EventKind::Loss, 1, f64::NAN.to_bits());
-        let text = render_jsonl("test", &[]);
+        static R: FlightRecorder = FlightRecorder::new();
+        R.record(EventKind::Rebuild, 0, 999);
+        R.record(EventKind::Loss, 1, f64::NAN.to_bits());
+        let text = R.render_jsonl("test", &[]);
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 3);
         assert!(lines[0].contains("\"type\":\"meta\""));
@@ -364,7 +396,6 @@ mod tests {
         assert!(lines[1].contains("\"type\":\"flight\""));
         // Non-finite loss must stay valid JSON.
         assert!(lines[2].contains("\"loss\":null"));
-        reset();
     }
 
     #[test]

@@ -345,8 +345,18 @@ pub fn write_chrome_trace(path: &str, events: &[TraceEvent]) -> std::io::Result<
 mod tests {
     use super::*;
 
+    /// The level and the collector are process-global: each test holds
+    /// this lock while it sets the level and drains, so parallel tests
+    /// never steal each other's spans or switch tracing off mid-test.
+    static TRACE_STATE: Mutex<()> = Mutex::new(());
+
+    fn lock_trace_state() -> std::sync::MutexGuard<'static, ()> {
+        TRACE_STATE.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn spans_nest_and_parent_implicitly() {
+        let _state = lock_trace_state();
         set_level(TraceLevel::Full);
         drain();
         {
@@ -368,6 +378,7 @@ mod tests {
 
     #[test]
     fn off_level_records_nothing() {
+        let _state = lock_trace_state();
         set_level(TraceLevel::Off);
         drain();
         {
@@ -379,6 +390,7 @@ mod tests {
 
     #[test]
     fn explicit_parenting_carries_across() {
+        let _state = lock_trace_state();
         set_level(TraceLevel::Stages);
         drain();
         let ctx;
@@ -398,6 +410,7 @@ mod tests {
 
     #[test]
     fn chrome_export_is_valid_json() {
+        let _state = lock_trace_state();
         set_level(TraceLevel::Stages);
         drain();
         {

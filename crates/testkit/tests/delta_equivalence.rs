@@ -3,14 +3,10 @@
 //!
 //! Contracts under test (see `DESIGN.md` §6e):
 //!
-//! * **f64 storage**: a delta update with `displacement_bound = 0` is
-//!   **bit-identical** — neighbor ids *and* squared distances — to
-//!   rebuilding the engine from scratch on the moved cloud, for every
-//!   displacement pattern and for thread counts {1, 2, 8}.
-//! * **f32 storage** (`SGM_DIST_F32`): the same bit-exact delta-vs-full
-//!   contract holds *within* the f32 engine (rounding happens once, at
-//!   storage), while against the f64 engine the squared distances are
-//!   only boundedly divergent (coordinate rounding at 2⁻²⁴ relative).
+//! * **Delta vs full**: a delta update is **bit-identical** — neighbor
+//!   ids *and* squared distances — to rebuilding the engine from scratch
+//!   on the moved cloud, for every displacement pattern and for thread
+//!   counts {1, 2, 8}.
 //! * **Blocked LRD cache**: serving clean blocks from cache yields the
 //!   exact assignment of recomputing every block, because a clean
 //!   block's intra-block subgraph is unchanged by construction.
@@ -137,12 +133,10 @@ fn displaced(base: &PointCloud, pattern: Pattern, seed: u64) -> PointCloud {
     out
 }
 
-fn knn_cfg(f32_storage: bool) -> IncrementalKnnConfig {
+fn knn_cfg() -> IncrementalKnnConfig {
     IncrementalKnnConfig {
         k: 8,
         weight_eps: 1e-9,
-        f32_storage,
-        displacement_bound: 0.0,
     }
 }
 
@@ -158,31 +152,29 @@ fn rows(knn: &IncrementalKnn) -> (Vec<u32>, Vec<f64>) {
     (ids, d2s)
 }
 
-/// Delta-patched rows vs a from-scratch rebuild on the moved cloud, in
-/// the given storage mode. Returns the rows for cross-mode comparison.
+/// Delta-patched rows vs a from-scratch rebuild on the moved cloud.
+/// Returns the rows for cross-thread-count comparison.
 fn check_delta_vs_full(
     base: &PointCloud,
     moved: &PointCloud,
-    f32_storage: bool,
 ) -> Result<(Vec<u32>, Vec<f64>), String> {
-    let cfg = knn_cfg(f32_storage);
+    let cfg = knn_cfg();
     let mut engine = IncrementalKnn::build(base, &cfg);
     engine.update(moved);
     let delta_rows = rows(&engine);
     let full_rows = rows(&IncrementalKnn::build(moved, &cfg));
     if delta_rows.0 != full_rows.0 {
-        return Err(format!("neighbor ids diverge (f32={f32_storage})"));
+        return Err("neighbor ids diverge".to_string());
     }
     // Bitwise distance equality, NaN-free by construction.
     if delta_rows.1 != full_rows.1 {
-        return Err(format!("neighbor d2 bits diverge (f32={f32_storage})"));
+        return Err("neighbor d2 bits diverge".to_string());
     }
     Ok(delta_rows)
 }
 
-/// Sweep: random sizes and patterns, both storage modes, plus the
-/// f64-vs-f32 bounded-divergence bound. Runs serial — the thread matrix
-/// is its own test below.
+/// Sweep: random sizes and patterns. Runs serial — the thread matrix is
+/// its own test below.
 #[test]
 fn delta_equivalence_sweep_over_adversarial_patterns() {
     Sweep::new(0x0DE17A, 15).run(
@@ -202,26 +194,12 @@ fn delta_equivalence_sweep_over_adversarial_patterns() {
         |&(n, pattern, seed)| {
             let base = base_cloud(n, pattern, seed);
             let moved = displaced(&base, pattern, seed);
-            let (_, d64) = check_delta_vs_full(&base, &moved, false)?;
-            let (_, d32) = check_delta_vs_full(&base, &moved, true)?;
-            // Cross-mode: same length by construction (k and n agree);
-            // distances may differ only by coordinate rounding. The ids
-            // can legitimately differ on near-ties, so only the distance
-            // field is bounded here; rank-order preservation on separated
-            // clouds is asserted by the grid oracle tests.
-            let scale = 4.0 * f32::EPSILON as f64; // two rounded coords, squared
-            for (&a, &b) in d64.iter().zip(&d32) {
-                let tol = scale * (1.0 + a.max(b));
-                if (a - b).abs() > tol {
-                    return Err(format!("f32 divergence {} vs {} exceeds {}", a, b, tol));
-                }
-            }
-            Ok(())
+            check_delta_vs_full(&base, &moved).map(|_| ())
         },
     );
 }
 
-/// The f64 delta path is bit-identical across thread counts {1, 2, 8}
+/// The delta path is bit-identical across thread counts {1, 2, 8}
 /// for every adversarial pattern — `sgm-par` chunk-deterministic merge
 /// plus position-independent distance kernels.
 #[test]
@@ -233,7 +211,7 @@ fn delta_rows_bit_identical_across_thread_counts() {
         let mut reference = reference;
         for threads in [1usize, 2, 8] {
             let got = with_parallelism(Parallelism::Threads(threads), || {
-                check_delta_vs_full(&base, &moved, false).unwrap_or_else(|e| {
+                check_delta_vs_full(&base, &moved).unwrap_or_else(|e| {
                     panic!("{pattern:?} at {threads} threads: {e}");
                 })
             });
@@ -271,11 +249,7 @@ fn cached_blocks_match_full_recompute_per_pattern() {
             max_cluster_frac: 0.1,
             min_clusters: 8,
         },
-        opts: RefreshOptions {
-            block_size: 128,
-            displacement_bound: 0.0,
-            f32_storage: false,
-        },
+        opts: RefreshOptions { block_size: 128 },
     };
     for pattern in PATTERNS {
         let base = base_cloud(700, pattern, 0xCAC4E);

@@ -3,7 +3,7 @@
 //! checked against their exact counterparts on randomised inputs.
 
 use sgm_graph::graph::Graph;
-use sgm_graph::knn::{brute_knn, build_knn_graph, grid_knn, recall, KnnConfig, KnnStrategy};
+use sgm_graph::knn::{brute_knn, build_knn_graph, grid_knn, KnnConfig, KnnStrategy};
 use sgm_graph::lrd::{decompose, ErSource, LrdConfig};
 use sgm_graph::metrics::cut_fraction;
 use sgm_graph::points::PointCloud;
@@ -12,6 +12,7 @@ use sgm_graph::resistance::{
     ApproxErOptions,
 };
 use sgm_linalg::rng::Rng64;
+use sgm_linalg::simd;
 
 fn random_cloud(n: usize, dim: usize, seed: u64) -> PointCloud {
     let mut rng = Rng64::new(seed);
@@ -21,19 +22,59 @@ fn random_cloud(n: usize, dim: usize, seed: u64) -> PointCloud {
 // The four oracle properties below run as deterministic seeded sweeps
 // (16 cases each, mirroring the original proptest config).
 
-/// Grid kNN is exact: recall 1.0 against brute force.
+/// Integer lattice `side × side`: every interior point has 4
+/// neighbours at distance 1 and 4 at √2 — massive exact ties.
+fn lattice(side: usize) -> PointCloud {
+    let mut flat = Vec::with_capacity(2 * side * side);
+    for y in 0..side {
+        for x in 0..side {
+            flat.extend_from_slice(&[x as f64, y as f64]);
+        }
+    }
+    PointCloud::from_flat(2, flat)
+}
+
+/// Grid kNN is exact: its lists equal brute force bit for bit — ids,
+/// order and `dist²` — on small random 2-D clouds, a uniform 2-D and a
+/// uniform 3-D cloud, and an exact-tie lattice, under every SIMD tier
+/// the host can run.
 #[test]
 fn grid_knn_is_exact() {
+    let mut inputs: Vec<(String, PointCloud, usize)> = Vec::new();
     for case in 0u64..16 {
         let mut rng = Rng64::new(0x61d ^ case);
         let seed = rng.below(500) as u64;
         let n = 50 + rng.below(200);
         let k = 1 + rng.below(7);
-        let cloud = random_cloud(n, 2, seed);
-        let exact = brute_knn(&cloud, k);
-        let grid = grid_knn(&cloud, k);
-        let r = recall(&grid, &exact);
-        assert!(r > 0.999, "case={case} n={n} k={k} recall {r}");
+        inputs.push((
+            format!("case={case} n={n} k={k}"),
+            random_cloud(n, 2, seed),
+            k,
+        ));
+    }
+    inputs.push(("uniform 2-D".into(), random_cloud(3000, 2, 0x2d), 30));
+    inputs.push(("uniform 3-D".into(), random_cloud(2000, 3, 0x3d), 8));
+    inputs.push(("lattice".into(), lattice(50), 6));
+    let bits = |lists: Vec<Vec<(usize, f64)>>| -> Vec<Vec<(usize, u64)>> {
+        lists
+            .into_iter()
+            .map(|l| l.into_iter().map(|(j, d2)| (j, d2.to_bits())).collect())
+            .collect()
+    };
+    for &tier in simd::available_tiers() {
+        simd::with_tier(tier, || {
+            for (what, cloud, k) in &inputs {
+                let exact = bits(brute_knn(cloud, *k));
+                let grid = bits(grid_knn(cloud, *k));
+                let differ = exact.iter().zip(&grid).filter(|(a, b)| a != b).count();
+                assert_eq!(
+                    differ,
+                    0,
+                    "{tier:?} {what}: {differ}/{} lists differ from brute force",
+                    cloud.len()
+                );
+            }
+        });
     }
 }
 
@@ -216,25 +257,29 @@ fn rayleigh_monotonicity() {
 /// its spatial part matches building on the projection directly.
 #[test]
 fn spatial_projection_equivalence() {
-    let mut rng = Rng64::new(13);
-    let mut flat = Vec::new();
-    for _ in 0..100 {
-        flat.push(rng.uniform());
-        flat.push(rng.uniform());
-        flat.push(rng.uniform_in(0.75, 1.1)); // design parameter
-    }
-    let full = PointCloud::from_flat(3, flat);
-    let spatial = full.project(2);
-    let cfg = KnnConfig {
-        k: 5,
-        strategy: KnnStrategy::Brute,
-        ..KnnConfig::default()
-    };
-    let g1 = build_knn_graph(&spatial, &cfg);
-    let edges1: std::collections::HashSet<(usize, usize)> =
-        g1.edges().map(|(u, v, _)| (u, v)).collect();
-    let g2 = build_knn_graph(&full.project(2), &cfg);
-    let edges2: std::collections::HashSet<(usize, usize)> =
-        g2.edges().map(|(u, v, _)| (u, v)).collect();
-    assert_eq!(edges1, edges2);
+    // Pinned: the two builds must not straddle a tier flip made by
+    // another test in this binary.
+    simd::with_tier(simd::detected_tier(), || {
+        let mut rng = Rng64::new(13);
+        let mut flat = Vec::new();
+        for _ in 0..100 {
+            flat.push(rng.uniform());
+            flat.push(rng.uniform());
+            flat.push(rng.uniform_in(0.75, 1.1)); // design parameter
+        }
+        let full = PointCloud::from_flat(3, flat);
+        let spatial = full.project(2);
+        let cfg = KnnConfig {
+            k: 5,
+            strategy: KnnStrategy::Brute,
+            ..KnnConfig::default()
+        };
+        let g1 = build_knn_graph(&spatial, &cfg);
+        let edges1: std::collections::HashSet<(usize, usize)> =
+            g1.edges().map(|(u, v, _)| (u, v)).collect();
+        let g2 = build_knn_graph(&full.project(2), &cfg);
+        let edges2: std::collections::HashSet<(usize, usize)> =
+            g2.edges().map(|(u, v, _)| (u, v)).collect();
+        assert_eq!(edges1, edges2);
+    });
 }
